@@ -123,24 +123,27 @@ func BenchmarkSuiteParallel(b *testing.B) {
 // BenchmarkCompileQFT32 measures the compiler itself on the densest small
 // benchmark (the unit of work behind every table cell).
 func BenchmarkCompileQFT32(b *testing.B) {
-	c := mussti.Benchmark("QFT_n32")
-	dev := mussti.NewDevice(mussti.DeviceConfigFor(c.NumQubits))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := mussti.Compile(c, dev, mussti.DefaultOptions()); err != nil {
-			b.Fatal(err)
-		}
-	}
+	benchmarkCompile(b, "QFT_n32")
 }
 
 // BenchmarkCompileSQRT299 measures the compiler on the largest benchmark
 // (the Fig. 10 worst case).
 func BenchmarkCompileSQRT299(b *testing.B) {
-	c := mussti.Benchmark("SQRT_n299")
+	benchmarkCompile(b, "SQRT_n299")
+}
+
+// benchmarkCompile compiles app with MUSS-TI's paper defaults on its
+// default-sized EML device, b.N times.
+func benchmarkCompile(b *testing.B, app string) {
+	c := mussti.Benchmark(app)
 	dev := mussti.NewDevice(mussti.DeviceConfigFor(c.NumQubits))
+	comp, err := mussti.LookupCompiler("mussti")
+	if err != nil {
+		b.Fatal(err)
+	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := mussti.Compile(c, dev, mussti.DefaultOptions()); err != nil {
+		if _, err := comp.Compile(context.Background(), c, dev, nil); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -72,14 +72,7 @@ func measure(name string, fn func(b *testing.B)) entry {
 // table cell and the Fig. 10 compile-time curves.
 func compileBench(app string) func(b *testing.B) {
 	return func(b *testing.B) {
-		c := bench.MustByName(app)
-		dev := mussti.NewDevice(mussti.DeviceConfigFor(c.NumQubits))
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := mussti.Compile(c, dev, mussti.DefaultOptions()); err != nil {
-				b.Fatal(err)
-			}
-		}
+		compileLoop(b, app, mussti.NewCompileConfig())
 	}
 }
 
@@ -89,16 +82,7 @@ func compileBench(app string) func(b *testing.B) {
 // per-circuit prep (DAG + scheduler reuse across probe passes) trims.
 func compileTrivialBench(app string) func(b *testing.B) {
 	return func(b *testing.B) {
-		c := bench.MustByName(app)
-		dev := mussti.NewDevice(mussti.DeviceConfigFor(c.NumQubits))
-		opts := mussti.DefaultOptions()
-		opts.Mapping = mussti.MappingTrivial
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := mussti.Compile(c, dev, opts); err != nil {
-				b.Fatal(err)
-			}
-		}
+		compileLoop(b, app, mussti.NewCompileConfig(mussti.WithMapping(mussti.MappingTrivial)))
 	}
 }
 
@@ -108,15 +92,23 @@ func compileTrivialBench(app string) func(b *testing.B) {
 // the wall clock moves (and only when GOMAXPROCS grants real cores).
 func compileParallelBench(app string, parallelism int) func(b *testing.B) {
 	return func(b *testing.B) {
-		c := bench.MustByName(app)
-		dev := mussti.NewDevice(mussti.DeviceConfigFor(c.NumQubits))
-		opts := mussti.DefaultOptions()
-		opts.Parallelism = parallelism
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := mussti.Compile(c, dev, opts); err != nil {
-				b.Fatal(err)
-			}
+		compileLoop(b, app, mussti.NewCompileConfig(mussti.WithParallelism(parallelism)))
+	}
+}
+
+// compileLoop compiles the named application with MUSS-TI on its
+// default-sized EML device, b.N times under cfg.
+func compileLoop(b *testing.B, app string, cfg *mussti.CompileConfig) {
+	c := bench.MustByName(app)
+	dev := mussti.NewDevice(mussti.DeviceConfigFor(c.NumQubits))
+	comp, err := mussti.LookupCompiler("mussti")
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := comp.Compile(context.Background(), c, dev, cfg); err != nil {
+			b.Fatal(err)
 		}
 	}
 }

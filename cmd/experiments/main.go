@@ -11,7 +11,10 @@
 // cache (-cache=false to disable it). fig10/fig11 report wall-clock compile
 // times, so their own measurements always run serially and uncached — for
 // faithful timing curves run them alone (-exp fig10) rather than in all
-// mode, where concurrent neighbour experiments still compete for CPU.
+// mode, where concurrent neighbour experiments still compete for CPU. The
+// runner flags (-j -cache -batch -cachedir -dist -pipeline -launcher
+// -worker) mean the same here as in cmd/musstid; internal/runnerflags owns
+// them.
 //
 //	go run ./cmd/experiments -exp table2
 //	go run ./cmd/experiments -exp table2 -compilers=dai,mussti
@@ -24,15 +27,16 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/signal"
 	"runtime"
 	"runtime/pprof"
-	"strconv"
 	"strings"
 	"time"
 
 	"mussti"
+	"mussti/internal/runnerflags"
 )
 
 func main() { os.Exit(realMain()) }
@@ -44,44 +48,17 @@ func realMain() int {
 	exp := flag.String("exp", "", "experiment ID to run (default: all)")
 	list := flag.Bool("list", false, "list registered compilers and experiment IDs, then exit")
 	compilers := flag.String("compilers", "", "comma-separated registry names; experiments measure only these compilers (default: each experiment's paper set)")
-	parallel := flag.Bool("parallel", true, "fan measurements (and, in all-experiments mode, whole experiments) out over a worker pool")
-	jobs := flag.Int("j", 0, "worker count for -parallel (0 = GOMAXPROCS)")
-	cache := flag.Bool("cache", true, "dedupe identical measurement points across experiments (needs -parallel)")
-	batch := flag.Bool("batch", true, "group same-circuit measurements into shared-prep batch compiles; with -dist, also coalesce jobs into batched wire envelopes (needs -parallel or -dist)")
-	distFlag := flag.String("dist", "", "distribute measurements across N spawned worker processes (\"auto\" sizes the fleet from NumCPU; implies -parallel)")
-	pipeline := flag.Int("pipeline", 0, "jobs kept in flight per -dist worker (0 = default window of 4; 1 = lockstep dispatch)")
-	launcher := flag.String("launcher", "", "command prefix wrapping each -dist worker, e.g. \"ssh -o BatchMode=yes build-02\" (default: local processes)")
-	worker := flag.Bool("worker", false, "run as a distributed worker: read job envelopes on stdin, write measurement envelopes to stdout (what -dist coordinators spawn)")
-	cacheDir := flag.String("cachedir", "", "shared on-disk measurement cache directory: repeated runs and whole -dist fleets compile each point once, ever")
+	parallel := flag.Bool("parallel", true, "fan measurements (and, in all-experiments mode, whole experiments) out over a worker pool; -j, -cache, -batch, -cachedir and -progress need it, -dist implies it")
+	rf := runnerflags.Register(flag.CommandLine)
 	progress := flag.Bool("progress", false, "print per-job progress tick lines to stderr (needs -parallel)")
 	csvPath := flag.String("csv", "", "write every structured Measurement row to this CSV file")
 	cpuProfile := flag.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
 	memProfile := flag.String("memprofile", "", "write a pprof heap profile (taken after the run) to this file")
 	flag.Parse()
 
-	// -dist takes a worker count or "auto" (fleet sized from the machine's
-	// CPU count); flag mistakes fail up front, before anything compiles.
-	distN := 0
-	switch {
-	case *distFlag == "":
-	case *distFlag == "auto":
-		distN = runtime.NumCPU()
-	default:
-		n, err := strconv.Atoi(*distFlag)
-		if err != nil || n <= 0 {
-			fmt.Fprintf(os.Stderr, "experiments: -dist wants a positive worker count or \"auto\", got %q\n", *distFlag)
-			return 2
-		}
-		distN = n
-	}
-	if *pipeline < 0 {
-		fmt.Fprintf(os.Stderr, "experiments: -pipeline wants a window of at least 1 (or 0 for the default), got %d\n", *pipeline)
-		return 2
-	}
-	if distN == 0 && (*pipeline > 0 || *launcher != "") {
-		// A fleet flag without a fleet is a misread command line, not a
-		// preference to ignore: fail like any other flag mistake.
-		fmt.Fprintln(os.Stderr, "experiments: -pipeline and -launcher need -dist")
+	// Flag mistakes fail up front, before anything compiles.
+	if err := rf.Validate(); err != nil {
+		fmt.Fprintln(os.Stderr, "experiments:", err)
 		return 2
 	}
 
@@ -121,33 +98,15 @@ func realMain() int {
 		}()
 	}
 
-	// Worker mode: the process is one member of a -dist fleet. It speaks
-	// the job-envelope protocol on stdin/stdout and exits when the
-	// coordinator closes the pipe. Jobs run through the same Runner path as
-	// everywhere else, so the worker's own memoization and the shared
-	// -cachedir store apply.
-	if *worker {
-		ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
-		defer stop()
-		r := mussti.NewRunner(1)
-		if !*cache {
-			r.DisableCache()
-		}
-		if !*batch {
-			r.DisableBatching()
-		}
-		if *cacheDir != "" {
-			dc, err := mussti.NewDiskCache(*cacheDir)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "experiments:", err)
-				return 1
-			}
-			r.SetDiskCache(dc)
-		}
+	// Worker mode: the process is one member of a -dist fleet. Jobs run
+	// through the same Runner path as everywhere else, so the worker's own
+	// memoization and the shared -cachedir store apply.
+	if rf.Worker {
+		var tick io.Writer
 		if *progress {
-			r.SetProgress(os.Stderr)
+			tick = os.Stderr
 		}
-		if err := mussti.ServeWorker(ctx, os.Stdin, os.Stdout, r); err != nil {
+		if err := rf.ServeWorker(tick); err != nil {
 			fmt.Fprintln(os.Stderr, "experiments: worker:", err)
 			return 1
 		}
@@ -195,78 +154,25 @@ func realMain() int {
 		stop()
 	}()
 	var runner *mussti.Runner
-	switch {
-	case distN > 0:
-		// Distributed mode: the runner's pool is sized to the fleet's
-		// in-flight capacity and its jobs dispatch to spawned copies of this
-		// binary in worker mode. Scheduling, dedup and paper-order
-		// reassembly stay coordinator-side, so the rendered tables are
-		// byte-identical to any other mode.
-		exe, err := os.Executable()
+	if rf.FleetSize() > 0 || *parallel {
+		r, fleet, err := rf.NewRunner()
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "experiments: -dist:", err)
+			fmt.Fprintln(os.Stderr, "experiments:", err)
 			return 1
 		}
-		argv := []string{exe, "-worker"}
-		// -cache=false means "compile every point from scratch": the workers
-		// must not quietly serve stale measurements from the cache dir the
-		// coordinator just promised to ignore.
-		if *cacheDir != "" && *cache {
-			argv = append(argv, "-cachedir", *cacheDir)
-		}
-		// -batch reaches the whole transport: with it off, the workers skip
-		// shared-prep batch compiles AND the coordinator ships every job as
-		// its own envelope instead of coalescing window-mates.
-		if !*batch {
-			argv = append(argv, "-batch=false")
-		}
-		opts := &mussti.CoordinatorOptions{Pipeline: *pipeline, DisableCoalescing: !*batch}
-		if *launcher != "" {
-			opts.Launcher = mussti.CommandLauncher{Prefix: strings.Fields(*launcher)}
-		}
-		coord, err := mussti.NewCoordinator(distN, argv, opts)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "experiments: -dist:", err)
-			return 1
-		}
-		defer coord.Close()
-		runner = mussti.NewRunner(distN)
-		runner.SetRemote(coord)
-		if !*cache {
-			runner.DisableCache()
+		if fleet != nil {
+			defer fleet.Close()
 		}
 		if *progress {
-			runner.SetProgress(os.Stderr)
+			r.SetProgress(os.Stderr)
 		}
-	case *parallel:
-		runner = mussti.NewRunner(*jobs)
-		if !*cache {
-			runner.DisableCache()
-		}
-		if !*batch {
-			runner.DisableBatching()
-		}
-		if *progress {
-			runner.SetProgress(os.Stderr)
-		}
-	default:
-		if *progress || !*cache || !*batch {
+		runner = r
+	} else {
+		if *progress || !rf.Cache || !rf.Batch {
 			fmt.Fprintln(os.Stderr, "experiments: -progress, -cache and -batch need -parallel; ignoring")
 		}
-	}
-	if *cacheDir != "" {
-		switch {
-		case runner == nil:
+		if rf.CacheDir != "" {
 			fmt.Fprintln(os.Stderr, "experiments: -cachedir needs -parallel or -dist; ignoring")
-		case !*cache:
-			fmt.Fprintln(os.Stderr, "experiments: -cachedir needs -cache; ignoring")
-		default:
-			dc, err := mussti.NewDiskCache(*cacheDir)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "experiments:", err)
-				return 1
-			}
-			runner.SetDiskCache(dc)
 		}
 	}
 

@@ -24,12 +24,10 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"runtime"
-	"strconv"
-	"strings"
 	"time"
 
 	"mussti"
+	"mussti/internal/runnerflags"
 )
 
 func main() { os.Exit(realMain()) }
@@ -38,39 +36,15 @@ func main() { os.Exit(realMain()) }
 // cleanup (fleet teardown, graceful shutdown) always runs.
 func realMain() int {
 	addr := flag.String("addr", ":8080", "HTTP listen address")
-	jobs := flag.Int("j", 0, "compile worker count (0 = GOMAXPROCS)")
-	cache := flag.Bool("cache", true, "coalesce identical requests through the in-process measurement cache")
-	batch := flag.Bool("batch", true, "group same-circuit jobs into shared-prep batch compiles; with -dist, also coalesce jobs into batched wire envelopes")
-	cacheDir := flag.String("cachedir", "", "shared on-disk measurement cache directory: restarts, replicas and -dist fleets compile each point once, ever")
-	distFlag := flag.String("dist", "", "compile in N spawned worker processes (\"auto\" sizes the fleet from NumCPU)")
-	pipeline := flag.Int("pipeline", 0, "jobs kept in flight per -dist worker (0 = default window of 4; 1 = lockstep dispatch)")
-	launcher := flag.String("launcher", "", "command prefix wrapping each -dist worker, e.g. \"ssh -o BatchMode=yes build-02\" (default: local processes)")
+	rf := runnerflags.Register(flag.CommandLine)
 	maxInFlight := flag.Int("maxinflight", 0, "concurrent compile bound (0 = the worker count)")
 	maxQueue := flag.Int("maxqueue", 0, "requests allowed to wait for a compile slot before 429 (0 = 4×maxinflight)")
 	streamEvery := flag.Duration("stream-interval", 0, "progress-event cadence for streamed responses (0 = 500ms)")
-	worker := flag.Bool("worker", false, "run as a distributed worker: read job envelopes on stdin, write measurement envelopes to stdout (what -dist spawns)")
 	flag.Parse()
 
 	// Flag mistakes fail up front, before anything listens or compiles.
-	distN := 0
-	switch {
-	case *distFlag == "":
-	case *distFlag == "auto":
-		distN = runtime.NumCPU()
-	default:
-		n, err := strconv.Atoi(*distFlag)
-		if err != nil || n <= 0 {
-			fmt.Fprintf(os.Stderr, "musstid: -dist wants a positive worker count or \"auto\", got %q\n", *distFlag)
-			return 2
-		}
-		distN = n
-	}
-	if *pipeline < 0 {
-		fmt.Fprintf(os.Stderr, "musstid: -pipeline wants a window of at least 1 (or 0 for the default), got %d\n", *pipeline)
-		return 2
-	}
-	if distN == 0 && (*pipeline > 0 || *launcher != "") {
-		fmt.Fprintln(os.Stderr, "musstid: -pipeline and -launcher need -dist")
+	if err := rf.Validate(); err != nil {
+		fmt.Fprintln(os.Stderr, "musstid:", err)
 		return 2
 	}
 	if *maxInFlight < 0 || *maxQueue < 0 {
@@ -79,87 +53,25 @@ func realMain() int {
 	}
 
 	// Worker mode: this process is one member of another musstid's -dist
-	// fleet. It speaks the job-envelope protocol on stdin/stdout and exits
-	// when the coordinator closes the pipe.
-	if *worker {
-		ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
-		defer stop()
-		r := mussti.NewRunner(1)
-		if !*cache {
-			r.DisableCache()
-		}
-		if !*batch {
-			r.DisableBatching()
-		}
-		if *cacheDir != "" {
-			dc, err := mussti.NewDiskCache(*cacheDir)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "musstid:", err)
-				return 1
-			}
-			r.SetDiskCache(dc)
-		}
-		if err := mussti.ServeWorker(ctx, os.Stdin, os.Stdout, r); err != nil {
+	// fleet.
+	if rf.Worker {
+		if err := rf.ServeWorker(nil); err != nil {
 			fmt.Fprintln(os.Stderr, "musstid: worker:", err)
 			return 1
 		}
 		return 0
 	}
 
-	workers := *jobs
-	if distN > 0 {
-		workers = distN
+	// With -dist, compiles dispatch to spawned copies of this binary in
+	// worker mode; the service's scheduling, coalescing and metrics stay in
+	// this process.
+	runner, fleet, err := rf.NewRunner()
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "musstid:", err)
+		return 1
 	}
-	runner := mussti.NewRunner(workers)
-	if !*cache {
-		runner.DisableCache()
-	}
-	if !*batch {
-		runner.DisableBatching()
-	}
-	var fleet *mussti.Coordinator
-	if distN > 0 {
-		// Fleet mode: compiles dispatch to spawned copies of this binary in
-		// worker mode; the service's scheduling, coalescing and metrics stay
-		// coordinator-side.
-		exe, err := os.Executable()
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "musstid: -dist:", err)
-			return 1
-		}
-		argv := []string{exe, "-worker"}
-		// -cache=false means "compile every request from scratch": workers
-		// must not quietly serve stale measurements from the cache dir the
-		// coordinator just promised to ignore.
-		if *cacheDir != "" && *cache {
-			argv = append(argv, "-cachedir", *cacheDir)
-		}
-		if !*batch {
-			argv = append(argv, "-batch=false")
-		}
-		opts := &mussti.CoordinatorOptions{Pipeline: *pipeline, DisableCoalescing: !*batch}
-		if *launcher != "" {
-			opts.Launcher = mussti.CommandLauncher{Prefix: strings.Fields(*launcher)}
-		}
-		fleet, err = mussti.NewCoordinator(distN, argv, opts)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "musstid: -dist:", err)
-			return 1
-		}
+	if fleet != nil {
 		defer fleet.Close()
-		runner.SetRemote(fleet)
-	}
-	if *cacheDir != "" {
-		if !*cache {
-			fmt.Fprintln(os.Stderr, "musstid: -cachedir needs -cache")
-			return 2
-		}
-		dc, err := mussti.NewDiskCache(*cacheDir)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "musstid:", err)
-			return 1
-		}
-		runner.SetDiskCache(dc)
 	}
 
 	svc, err := mussti.NewService(mussti.ServiceOptions{
@@ -187,8 +99,8 @@ func realMain() int {
 	errCh := make(chan error, 1)
 	go func() {
 		fmt.Fprintf(os.Stderr, "musstid: listening on %s (workers=%d", *addr, runner.Workers())
-		if distN > 0 {
-			fmt.Fprintf(os.Stderr, ", fleet=%d", distN)
+		if n := rf.FleetSize(); n > 0 {
+			fmt.Fprintf(os.Stderr, ", fleet=%d", n)
 		}
 		fmt.Fprintln(os.Stderr, ")")
 		errCh <- srv.ListenAndServe()

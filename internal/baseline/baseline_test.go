@@ -1,14 +1,27 @@
 package baseline
 
 import (
+	"context"
 	"testing"
 
 	"mussti/internal/arch"
 	"mussti/internal/circuit"
 	"mussti/internal/circuit/bench"
+	"mussti/internal/core"
+	"mussti/internal/sim"
 )
 
 func grid22() *arch.Grid { return arch.MustNewGrid(2, 2, 12) }
+
+// compileOn compiles through the registry entry of algo — the package's
+// only compile entry point.
+func compileOn(ctx context.Context, algo Algorithm, c *circuit.Circuit, g *arch.Grid, cfg core.CompileConfig) (*Result, error) {
+	comp, err := core.LookupCompiler(algo.RegistryName())
+	if err != nil {
+		return nil, err
+	}
+	return comp.Compile(ctx, c, g, &cfg)
+}
 
 func TestAlgorithmString(t *testing.T) {
 	cases := map[Algorithm]string{Murali: "QCCD-Murali", Dai: "QCCD-Dai", MQT: "MQT", Algorithm(9): "unknown"}
@@ -22,7 +35,7 @@ func TestAlgorithmString(t *testing.T) {
 func TestCompileRejectsOversized(t *testing.T) {
 	c := bench.MustByName("GHZ_n256")
 	g := arch.MustNewGrid(2, 2, 8) // 32 slots
-	if _, err := Compile(Murali, c, g, Options{}); err == nil {
+	if _, err := compileOn(context.Background(), Murali, c, g, core.CompileConfig{}); err == nil {
 		t.Error("oversized circuit accepted")
 	}
 }
@@ -33,7 +46,7 @@ func TestAllBaselinesCompleteSmallSuite(t *testing.T) {
 		c := bench.MustByName(name)
 		st := c.Stats()
 		for _, algo := range []Algorithm{Murali, Dai, MQT} {
-			res, err := Compile(algo, c, g, Options{})
+			res, err := compileOn(context.Background(), algo, c, g, core.CompileConfig{})
 			if err != nil {
 				t.Fatalf("%s/%s: %v", name, algo, err)
 			}
@@ -58,11 +71,11 @@ func TestMQTShuttlesDominate(t *testing.T) {
 	g := grid22()
 	for _, name := range []string{"Adder_n32", "QFT_n32", "SQRT_n30"} {
 		c := bench.MustByName(name)
-		mur, err := Compile(Murali, c, g, Options{})
+		mur, err := compileOn(context.Background(), Murali, c, g, core.CompileConfig{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		mqt, err := Compile(MQT, c, g, Options{})
+		mqt, err := compileOn(context.Background(), MQT, c, g, core.CompileConfig{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -76,11 +89,11 @@ func TestDaiBeatsOrMatchesMurali(t *testing.T) {
 	g := grid22()
 	for _, name := range bench.SmallSuite() {
 		c := bench.MustByName(name)
-		mur, err := Compile(Murali, c, g, Options{})
+		mur, err := compileOn(context.Background(), Murali, c, g, core.CompileConfig{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		dai, err := Compile(Dai, c, g, Options{})
+		dai, err := compileOn(context.Background(), Dai, c, g, core.CompileConfig{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -94,11 +107,11 @@ func TestBaselineDeterministic(t *testing.T) {
 	g := grid22()
 	c := bench.MustByName("QFT_n32")
 	for _, algo := range []Algorithm{Murali, Dai, MQT} {
-		a, err := Compile(algo, c, g, Options{})
+		a, err := compileOn(context.Background(), algo, c, g, core.CompileConfig{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := Compile(algo, c, g, Options{})
+		b, err := compileOn(context.Background(), algo, c, g, core.CompileConfig{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -114,7 +127,7 @@ func TestColocationSkipsShuttling(t *testing.T) {
 	c.MS(0, 1)
 	g := grid22()
 	for _, algo := range []Algorithm{Murali, Dai} {
-		res, err := Compile(algo, c, g, Options{})
+		res, err := compileOn(context.Background(), algo, c, g, core.CompileConfig{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -123,7 +136,7 @@ func TestColocationSkipsShuttling(t *testing.T) {
 		}
 	}
 	// MQT still hauls both to the processing zone and back.
-	res, err := Compile(MQT, c, g, Options{})
+	res, err := compileOn(context.Background(), MQT, c, g, core.CompileConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,7 +149,7 @@ func TestMQTProcessingZoneDiscipline(t *testing.T) {
 	c := circuit.New("p", 4)
 	c.MS(0, 3)
 	g := arch.MustNewGrid(2, 2, 4)
-	res, err := Compile(MQT, c, g, Options{Trace: true})
+	res, err := compileOn(context.Background(), MQT, c, g, core.CompileConfig{Trace: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,11 +167,11 @@ func TestMQTProcessingZoneDiscipline(t *testing.T) {
 func TestDaiLookAheadOption(t *testing.T) {
 	g := arch.MustNewGrid(3, 4, 16)
 	c := bench.MustByName("Adder_n128")
-	deep, err := Compile(Dai, c, g, Options{LookAhead: 8})
+	deep, err := compileOn(context.Background(), Dai, c, g, core.CompileConfig{LookAhead: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
-	shallow, err := Compile(Dai, c, g, Options{LookAhead: 1})
+	shallow, err := compileOn(context.Background(), Dai, c, g, core.CompileConfig{LookAhead: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,8 +188,32 @@ func TestLargeGridRun(t *testing.T) {
 	g := arch.MustNewGrid(4, 5, 16)
 	c := bench.MustByName("GHZ_n256")
 	for _, algo := range []Algorithm{Murali, Dai} {
-		if _, err := Compile(algo, c, g, Options{}); err != nil {
+		if _, err := compileOn(context.Background(), algo, c, g, core.CompileConfig{}); err != nil {
 			t.Fatalf("%s: %v", algo, err)
+		}
+	}
+}
+
+// TestBaselineSchedulesVerify: every baseline reports the mapping its
+// trace starts from and ends in, so the independent verifier can replay
+// its schedules like MUSS-TI's.
+func TestBaselineSchedulesVerify(t *testing.T) {
+	g := arch.MustNewGrid(2, 3, 8)
+	zones := sim.ZonesOfGrid(g)
+	for _, fam := range []string{"GHZ", "BV", "QFT", "Adder", "QAOA", "RAN", "SC"} {
+		c := bench.MustByName(fam + "_n32")
+		for _, algo := range []Algorithm{Murali, Dai, MQT} {
+			res, err := compileOn(context.Background(), algo, c, g, core.CompileConfig{Trace: true})
+			if err != nil {
+				t.Fatalf("%s/%s: %v", c.Name, algo, err)
+			}
+			if len(res.InitialMapping) != c.NumQubits || len(res.FinalMapping) != c.NumQubits {
+				t.Fatalf("%s/%s: mappings of %d/%d entries, want %d",
+					c.Name, algo, len(res.InitialMapping), len(res.FinalMapping), c.NumQubits)
+			}
+			if err := sim.VerifySchedule(c, zones, res.InitialMapping, res.Trace); err != nil {
+				t.Errorf("%s/%s: %v", c.Name, algo, err)
+			}
 		}
 	}
 }

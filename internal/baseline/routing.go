@@ -170,12 +170,12 @@ func (r *gridRouter) bestMeetingTrap(a, b int) int {
 // until the next routed gate.
 func (r *gridRouter) futurePartnerTraps(a, b int) []int {
 	traps := r.trapScratch[:0]
-	r.g.WalkAhead(r.opts.LookAhead, func(_ int, n *dag.Node) {
+	r.g.WalkAhead(r.lookAhead, func(_ int, n *dag.Node) {
 		if p := n.Gate.Other(a); p >= 0 {
 			traps = append(traps, r.eng.ZoneOf(p))
 		}
 	})
-	r.g.WalkAhead(r.opts.LookAhead, func(_ int, n *dag.Node) {
+	r.g.WalkAhead(r.lookAhead, func(_ int, n *dag.Node) {
 		if p := n.Gate.Other(b); p >= 0 {
 			traps = append(traps, r.eng.ZoneOf(p))
 		}

@@ -41,7 +41,7 @@ type BatchCompiler interface {
 // set the bound explicitly.
 //
 // results[i] corresponds to variants[i] and is byte-identical to what
-// Compile(c, variants[i]...) returns (modulo the wall-clock CompileTime),
+// CompileContext(context.Background(), c, variants[i]...) returns (modulo the wall-clock CompileTime),
 // regardless of worker count or completion order. On failure the error
 // reported is the lowest-indexed variant that failed before cancellation
 // propagated; remaining variants are abandoned.
@@ -61,7 +61,7 @@ func CompileBatchBounded(ctx context.Context, c *circuit.Circuit, variants []Bat
 	// deterministically on the lowest-indexed bad variant, before any
 	// scheduling work starts.
 	devs := make([]*arch.Device, len(variants))
-	cfgs := make([]Options, len(variants))
+	cfgs := make([]CompileConfig, len(variants))
 	for i, v := range variants {
 		d, err := deviceFor(v.Target)
 		if err != nil {
@@ -143,7 +143,7 @@ type batchRun struct {
 	cancel   context.CancelFunc
 	variants []BatchVariant
 	devs     []*arch.Device
-	cfgs     []Options
+	cfgs     []CompileConfig
 	results  []*Result
 	errs     []error
 	next     atomic.Int64

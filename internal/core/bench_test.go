@@ -15,7 +15,7 @@ import (
 func BenchmarkSchedulerRun(b *testing.B) {
 	c := bench.MustByName("QFT_n32")
 	d := arch.MustNew(arch.DefaultConfig(c.NumQubits))
-	opts := Options{Mapping: MappingTrivial}.withDefaults()
+	opts := CompileConfig{Mapping: MappingTrivial}.withDefaults()
 	initial, err := trivialMapping(c.NumQubits, d)
 	if err != nil {
 		b.Fatal(err)
@@ -39,7 +39,7 @@ func BenchmarkSchedulerRun(b *testing.B) {
 func BenchmarkSchedulerStep(b *testing.B) {
 	c := bench.MustByName("QFT_n32")
 	d := arch.MustNew(arch.DefaultConfig(c.NumQubits))
-	opts := Options{Mapping: MappingTrivial}.withDefaults()
+	opts := CompileConfig{Mapping: MappingTrivial}.withDefaults()
 	initial, err := trivialMapping(c.NumQubits, d)
 	if err != nil {
 		b.Fatal(err)
@@ -70,7 +70,7 @@ func BenchmarkSchedulerStep(b *testing.B) {
 func BenchmarkSchedulerPassFresh(b *testing.B) {
 	c := bench.MustByName("QFT_n32")
 	d := arch.MustNew(arch.DefaultConfig(c.NumQubits))
-	opts := Options{Mapping: MappingTrivial}.withDefaults()
+	opts := CompileConfig{Mapping: MappingTrivial}.withDefaults()
 	initial, err := trivialMapping(c.NumQubits, d)
 	if err != nil {
 		b.Fatal(err)
@@ -94,7 +94,7 @@ func BenchmarkSchedulerPassFresh(b *testing.B) {
 func BenchmarkSchedulerPassReuse(b *testing.B) {
 	c := bench.MustByName("QFT_n32")
 	d := arch.MustNew(arch.DefaultConfig(c.NumQubits))
-	opts := Options{Mapping: MappingTrivial}.withDefaults()
+	opts := CompileConfig{Mapping: MappingTrivial}.withDefaults()
 	initial, err := trivialMapping(c.NumQubits, d)
 	if err != nil {
 		b.Fatal(err)

@@ -117,7 +117,8 @@ func TestCompilersConcurrent(t *testing.T) {
 }
 
 // TestMusstiCompilerTargets: the registry "mussti" accepts both machine
-// shapes and rejects anything else, matching the deprecated entry points.
+// shapes and rejects anything else, and compiles a device exactly as
+// CompileContext does.
 func TestMusstiCompilerTargets(t *testing.T) {
 	comp, err := LookupCompiler("mussti")
 	if err != nil {
@@ -135,12 +136,12 @@ func TestMusstiCompilerTargets(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	viaLegacy, err := Compile(c, dev, DefaultOptions())
+	direct, err := CompileContext(ctx, c, dev, DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if viaIface.Metrics != viaLegacy.Metrics {
-		t.Errorf("interface and legacy metrics differ:\n%+v\n%+v", viaIface.Metrics, viaLegacy.Metrics)
+	if viaIface.Metrics != direct.Metrics {
+		t.Errorf("interface and direct metrics differ:\n%+v\n%+v", viaIface.Metrics, direct.Metrics)
 	}
 
 	g := arch.MustNewGrid(2, 2, 4)

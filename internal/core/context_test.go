@@ -88,7 +88,7 @@ func TestCompileContextMidCompileCancel(t *testing.T) {
 func TestCompileContextBackgroundMatchesCompile(t *testing.T) {
 	c := bench.MustByName("QAOA_n128")
 	d := arch.MustNew(arch.DefaultConfig(c.NumQubits))
-	plain, err := Compile(c, d, DefaultOptions())
+	plain, err := CompileContext(context.Background(), c, d, DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,7 +124,7 @@ func TestObserverSeesSchedulerEvents(t *testing.T) {
 	opts := DefaultOptions()
 	opts.Mapping = MappingTrivial
 	opts.Observer = obs
-	res, err := Compile(c, d, opts)
+	res, err := CompileContext(context.Background(), c, d, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,13 +152,13 @@ func TestObserverSeesSchedulerEvents(t *testing.T) {
 func TestObserverDoesNotChangeSchedule(t *testing.T) {
 	c := bench.MustByName("QAOA_n128")
 	d := arch.MustNew(arch.DefaultConfig(c.NumQubits))
-	bare, err := Compile(c, d, DefaultOptions())
+	bare, err := CompileContext(context.Background(), c, d, DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
 	opts := DefaultOptions()
 	opts.Observer = &countingObserver{}
-	observed, err := Compile(c, d, opts)
+	observed, err := CompileContext(context.Background(), c, d, opts)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -55,26 +55,20 @@ type Result struct {
 	// after execution.
 	InitialMapping []int
 	FinalMapping   []int
-	// Trace is the op-level schedule when Options.Trace was set.
+	// Trace is the op-level schedule when CompileConfig.Trace was set.
 	Trace []sim.Op
-	// Report is the per-zone activity report when Options.Trace was set.
+	// Report is the per-zone activity report when CompileConfig.Trace was set.
 	Report *sim.Report
 }
 
-// Compile schedules circuit c onto device d with the given options and
-// returns the executed schedule's metrics. It errors when the device cannot
-// hold the circuit or an internal invariant breaks. It is CompileContext
-// with a background context.
-func Compile(c *circuit.Circuit, d *arch.Device, opts Options) (*Result, error) {
-	return CompileContext(context.Background(), c, d, opts)
-}
-
-// CompileContext is Compile with cooperative cancellation: the scheduling
-// loops (including the SABRE probe passes) check ctx at every frontier
-// step, so a cancelled or expired context aborts a long compile within one
-// scheduler step and surfaces ctx.Err().
+// CompileContext schedules circuit c onto device d with the given
+// configuration and returns the executed schedule's metrics. It errors when
+// the device cannot hold the circuit or an internal invariant breaks. The
+// scheduling loops (including the SABRE probe passes) check ctx at every
+// frontier step, so a cancelled or expired context aborts a long compile
+// within one scheduler step and surfaces ctx.Err().
 //
-// With Options.Parallelism ≥ 2 and SABRE mapping, the two candidate
+// With CompileConfig.Parallelism ≥ 2 and SABRE mapping, the two candidate
 // production runs execute concurrently over cloned prep state and the
 // reduction compares results in candidate-index order with the same strict
 // better-than rule as the sequential loop, so the returned Result (and
@@ -83,7 +77,7 @@ func Compile(c *circuit.Circuit, d *arch.Device, opts Options) (*Result, error) 
 // the calling goroutine's pass, later candidates record into a buffer
 // replayed after the join — so an observer that cancels ctx mid-pass (the
 // progress UI) still stops the whole compile within one scheduler step.
-func CompileContext(ctx context.Context, c *circuit.Circuit, d *arch.Device, opts Options) (*Result, error) {
+func CompileContext(ctx context.Context, c *circuit.Circuit, d *arch.Device, opts CompileConfig) (*Result, error) {
 	opts = opts.withDefaults()
 	if c.NumQubits > d.Capacity() {
 		return nil, fmt.Errorf("core: circuit %q needs %d qubits, device holds %d",
@@ -106,7 +100,7 @@ func CompileContext(ctx context.Context, c *circuit.Circuit, d *arch.Device, opt
 // already be withDefaults-normalised and the circuit known to fit d (the
 // callers — CompileContext and CompileBatch — check capacity). CompileTime
 // is left zero for the caller to stamp.
-func compileWithPrep(ctx context.Context, p *prep, d *arch.Device, opts Options) (*Result, error) {
+func compileWithPrep(ctx context.Context, p *prep, d *arch.Device, opts CompileConfig) (*Result, error) {
 	if opts.Parallelism > 1 && opts.Mapping == MappingSABRE {
 		return compileParallel(ctx, p, d, opts)
 	}
@@ -130,7 +124,7 @@ func compileWithPrep(ctx context.Context, p *prep, d *arch.Device, opts Options)
 
 // runCandidate executes one production pass from the given initial mapping
 // and packages the Result (one iteration of the former candidate loop).
-func runCandidate(ctx context.Context, p *prep, d *arch.Device, opts Options, initial []int) (*Result, error) {
+func runCandidate(ctx context.Context, p *prep, d *arch.Device, opts CompileConfig, initial []int) (*Result, error) {
 	s, err := newSchedulerWith(ctx, p, d, opts, initial)
 	if err != nil {
 		return nil, err
@@ -180,7 +174,7 @@ func betterResult(best, res *Result) *Result {
 // candidates by index. A real error cancels the sibling pass; the sibling's
 // resulting context.Canceled is internal noise and is never returned while
 // the outer ctx is still live.
-func compileParallel(ctx context.Context, p *prep, d *arch.Device, opts Options) (*Result, error) {
+func compileParallel(ctx context.Context, p *prep, d *arch.Device, opts CompileConfig) (*Result, error) {
 	triv, err := trivialMapping(p.c.NumQubits, d)
 	if err != nil {
 		return nil, err
@@ -247,7 +241,7 @@ func compileParallel(ctx context.Context, p *prep, d *arch.Device, opts Options)
 // Compile keeps whichever schedule reaches the higher fidelity: the search
 // is a heuristic, and falling back costs only compile time (which the
 // Fig. 11 trade-off accounts for).
-func candidateMappings(ctx context.Context, p *prep, d *arch.Device, opts Options) ([][]int, error) {
+func candidateMappings(ctx context.Context, p *prep, d *arch.Device, opts CompileConfig) ([][]int, error) {
 	switch opts.Mapping {
 	case MappingTrivial:
 		m, err := trivialMapping(p.c.NumQubits, d)

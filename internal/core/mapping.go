@@ -66,7 +66,7 @@ func moduleBudget(d *arch.Device, m int) int {
 // it again afterwards); the reversed circuit — a different gate order,
 // hence a different DAG — gets its prep from the per-circuit cache in
 // prepcache.go, so repeated compiles of one circuit reverse it once.
-func sabreMapping(ctx context.Context, p *prep, d *arch.Device, opts Options) ([]int, error) {
+func sabreMapping(ctx context.Context, p *prep, d *arch.Device, opts CompileConfig) ([]int, error) {
 	probe := opts
 	probe.Mapping = MappingTrivial
 	probe.Trace = false
@@ -123,7 +123,7 @@ func sabreMapping(ctx context.Context, p *prep, d *arch.Device, opts Options) ([
 }
 
 // runForMapping executes one scheduling pass and returns the final mapping.
-func runForMapping(ctx context.Context, p *prep, d *arch.Device, opts Options, initial []int) ([]int, error) {
+func runForMapping(ctx context.Context, p *prep, d *arch.Device, opts CompileConfig, initial []int) ([]int, error) {
 	s, err := newSchedulerWith(ctx, p, d, opts, initial)
 	if err != nil {
 		return nil, err

@@ -89,13 +89,6 @@ type CompileConfig struct {
 	Parallelism int
 }
 
-// Options configures a MUSS-TI compilation.
-//
-// Deprecated: Options is the pre-registry name of CompileConfig; both
-// compilers now share the one configuration type. New code should say
-// CompileConfig.
-type Options = CompileConfig
-
 // CompileOption mutates a CompileConfig; see NewCompileConfig.
 type CompileOption func(*CompileConfig)
 

@@ -68,12 +68,12 @@ func TestParallelTrivialMappingUnaffected(t *testing.T) {
 	d := arch.MustNew(arch.DefaultConfig(c.NumQubits))
 	opts := DefaultOptions()
 	opts.Mapping = MappingTrivial
-	seq, err := Compile(c, d, opts)
+	seq, err := CompileContext(context.Background(), c, d, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	opts.Parallelism = 8
-	par, err := Compile(c, d, opts)
+	par, err := CompileContext(context.Background(), c, d, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,7 +158,7 @@ func TestCompileBatchValidation(t *testing.T) {
 func TestReversePrepConcurrent(t *testing.T) {
 	c := bench.MustByName("QFT_n32")
 	d := arch.MustNew(arch.DefaultConfig(c.NumQubits))
-	ref, err := Compile(c, d, DefaultOptions())
+	ref, err := CompileContext(context.Background(), c, d, DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}

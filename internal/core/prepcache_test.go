@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"mussti/internal/arch"
@@ -25,11 +26,11 @@ func TestReversePrepCacheReuse(t *testing.T) {
 	}
 	pool2.Put(p2)
 
-	first, err := Compile(c, d, DefaultOptions())
+	first, err := CompileContext(context.Background(), c, d, DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
-	second, err := Compile(c, d, DefaultOptions())
+	second, err := CompileContext(context.Background(), c, d, DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -16,7 +16,7 @@ type scheduler struct {
 	ctx  context.Context
 	c    *circuit.Circuit
 	d    *arch.Device
-	opts Options
+	opts CompileConfig
 	eng  *sim.Engine
 	g    *dag.Graph
 	obs  Observer
@@ -93,7 +93,7 @@ func (p *prep) clone() *prep {
 	return &prep{c: p.c, g: p.g.Clone(), perQubit: p.perQubit, next2q: p.next2q} //mussti:allow=hotalloc one header per batch worker, amortised over its whole variant share
 }
 
-func newScheduler(ctx context.Context, c *circuit.Circuit, d *arch.Device, opts Options, initial []int) (*scheduler, error) {
+func newScheduler(ctx context.Context, c *circuit.Circuit, d *arch.Device, opts CompileConfig, initial []int) (*scheduler, error) {
 	return newSchedulerWith(ctx, newPrep(c), d, opts, initial)
 }
 
@@ -102,7 +102,7 @@ func newScheduler(ctx context.Context, c *circuit.Circuit, d *arch.Device, opts 
 // to the pass (execution state lives in the scheduler and the graph's
 // resettable bookkeeping), so passes may reuse one prep back to back — but
 // not concurrently.
-func newSchedulerWith(ctx context.Context, p *prep, d *arch.Device, opts Options, initial []int) (*scheduler, error) {
+func newSchedulerWith(ctx context.Context, p *prep, d *arch.Device, opts CompileConfig, initial []int) (*scheduler, error) {
 	p.g.Reset()
 	s := &scheduler{
 		ctx:      ctx,

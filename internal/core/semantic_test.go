@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -13,10 +14,10 @@ import (
 
 // compileAndExtract compiles c with tracing, verifies the schedule and
 // returns the executed gate order.
-func compileAndExtract(t *testing.T, c *circuit.Circuit, d *arch.Device, opts Options) []int {
+func compileAndExtract(t *testing.T, c *circuit.Circuit, d *arch.Device, opts CompileConfig) []int {
 	t.Helper()
 	opts.Trace = true
-	res, err := Compile(c, d, opts)
+	res, err := CompileContext(context.Background(), c, d, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +88,7 @@ func TestScheduleSemanticEquivalence(t *testing.T) {
 	}
 
 	for _, tc := range builders {
-		for _, opts := range []Options{
+		for _, opts := range []CompileConfig{
 			{Mapping: MappingTrivial},
 			{Mapping: MappingSABRE, SwapInsertion: true},
 		} {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"mussti/internal/arch"
@@ -23,12 +24,12 @@ func TestCompiledSchedulesVerify(t *testing.T) {
 	}
 	for _, dev := range devices {
 		for _, name := range bench.SmallSuite() {
-			for _, opts := range []Options{
+			for _, opts := range []CompileConfig{
 				{Mapping: MappingTrivial, Trace: true},
 				{Mapping: MappingSABRE, SwapInsertion: true, Trace: true},
 			} {
 				c := bench.MustByName(name)
-				res, err := Compile(c, dev.d, opts)
+				res, err := CompileContext(context.Background(), c, dev.d, opts)
 				if err != nil {
 					t.Fatalf("%s/%s: %v", dev.name, name, err)
 				}
@@ -52,7 +53,7 @@ func TestCompiledMediumScheduleVerifies(t *testing.T) {
 	d := arch.MustNew(arch.DefaultConfig(c.NumQubits))
 	opts := DefaultOptions()
 	opts.Trace = true
-	res, err := Compile(c, d, opts)
+	res, err := CompileContext(context.Background(), c, d, opts)
 	if err != nil {
 		t.Fatal(err)
 	}

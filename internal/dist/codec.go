@@ -233,10 +233,9 @@ func SniffFrame(data []byte) (string, error) {
 }
 
 // WireSpecOf resolves and validates a job for transport, returning its wire
-// spec. Legacy Mussti/Baseline spec jobs convert through their existing
-// CompileSpec conversion, so both API styles share one wire form. Jobs that
-// fail to resolve — or that cannot cross the wire losslessly — error here,
-// before any dispatch, so a transport-level retry never re-pays validation.
+// spec. Jobs that fail to resolve — or that cannot cross the wire
+// losslessly — error here, before any dispatch, so a transport-level retry
+// never re-pays validation.
 func WireSpecOf(j eval.Job) (WireSpec, error) {
 	s, err := j.Resolve()
 	if err != nil {

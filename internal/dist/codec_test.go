@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"mussti/internal/arch"
-	"mussti/internal/baseline"
 	"mussti/internal/core"
 	"mussti/internal/eval"
 	"mussti/internal/physics"
@@ -57,7 +56,8 @@ func roundTrip(t *testing.T, name string, j eval.Job) {
 // TestEnvelopeRoundTripExhaustive is the codec's lossless-round-trip
 // contract: every registered compiler, both target kinds (EML device from a
 // Config — zero and explicit — and monolithic grid), and every CompileConfig
-// option must survive encode→decode with an identical spec and cache key.
+// option must survive encode→decode with an identical spec and cache key;
+// a job without a spec must be refused at encode.
 func TestEnvelopeRoundTripExhaustive(t *testing.T) {
 	grids := []*arch.Grid{nil, arch.MustNewGrid(2, 2, 12), arch.MustNewGrid(2, 3, 8)}
 	archs := []arch.Config{{}, arch.DefaultConfig(32), {Modules: 2, TrapCapacity: 8, StorageZones: 1, OperationZones: 1, OpticalZones: 1}}
@@ -88,45 +88,6 @@ func TestEnvelopeRoundTripExhaustive(t *testing.T) {
 			}
 		}
 	}
-}
-
-// TestLegacySpecsEncodeViaConversion: the deprecated Mussti/Baseline spec
-// styles cross the wire through their existing CompileSpec conversion, so a
-// legacy job and its registry twin land on the same cache key after decode
-// (their envelopes may differ in spelling — the legacy conversion writes an
-// explicit default config where the registry style leaves nil — but never
-// in meaning).
-func TestLegacySpecsEncodeViaConversion(t *testing.T) {
-	legacy := eval.Job{Baseline: &eval.BaselineSpec{App: "BV_n32", Algorithm: baseline.Dai, Rows: 2, Cols: 3, Capacity: 8}}
-	registry := eval.Job{Spec: &eval.CompileSpec{App: "BV_n32", Compiler: "dai", Grid: arch.MustNewGrid(2, 3, 8)}}
-	roundTrip(t, "legacy-baseline", legacy)
-	keyOf := func(j eval.Job) string {
-		t.Helper()
-		line, err := EncodeJob(1, j)
-		if err != nil {
-			t.Fatal(err)
-		}
-		_, back, err := DecodeJob(line)
-		if err != nil {
-			t.Fatal(err)
-		}
-		s, err := back.Resolve()
-		if err != nil {
-			t.Fatal(err)
-		}
-		k, ok := s.CacheKey()
-		if !ok {
-			t.Fatalf("uncacheable after decode: %+v", s)
-		}
-		return k
-	}
-	if l, r := keyOf(legacy), keyOf(registry); l != r {
-		t.Errorf("legacy and registry jobs decode to different cache keys:\n%s\n%s", l, r)
-	}
-
-	mLegacy := eval.Job{Mussti: &eval.MusstiSpec{App: "GHZ_n32", Opts: core.DefaultOptions()}}
-	roundTrip(t, "legacy-mussti", mLegacy)
-
 	if _, err := EncodeJob(1, eval.Job{}); err == nil {
 		t.Error("empty job encoded; want error")
 	}

@@ -5,12 +5,10 @@ import (
 	"testing"
 
 	"mussti/internal/arch"
-	"mussti/internal/baseline"
-	"mussti/internal/core"
 )
 
 func TestRunMusstiOnEML(t *testing.T) {
-	m, err := RunMussti(MusstiSpec{App: "GHZ_n32", Opts: core.DefaultOptions()})
+	m, err := RunSpec(CompileSpec{App: "GHZ_n32", Compiler: "mussti"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -26,10 +24,10 @@ func TestRunMusstiOnEML(t *testing.T) {
 }
 
 func TestRunMusstiOnGrid(t *testing.T) {
-	m, err := RunMussti(MusstiSpec{
-		App:  "GHZ_n32",
-		Grid: arch.MustNewGrid(2, 2, 12),
-		Opts: core.DefaultOptions(),
+	m, err := RunSpec(CompileSpec{
+		App:      "GHZ_n32",
+		Compiler: "mussti",
+		Grid:     arch.MustNewGrid(2, 2, 12),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -40,15 +38,13 @@ func TestRunMusstiOnGrid(t *testing.T) {
 }
 
 func TestRunMusstiBadApp(t *testing.T) {
-	if _, err := RunMussti(MusstiSpec{App: "Nope_n12"}); err == nil {
+	if _, err := RunSpec(CompileSpec{App: "Nope_n12", Compiler: "mussti"}); err == nil {
 		t.Error("unknown app accepted")
 	}
 }
 
 func TestRunBaseline(t *testing.T) {
-	m, err := RunBaseline(BaselineSpec{
-		App: "BV_n32", Algorithm: baseline.Dai, Rows: 2, Cols: 2, Capacity: 12,
-	})
+	m, err := RunSpec(CompileSpec{App: "BV_n32", Compiler: "dai", Grid: arch.MustNewGrid(2, 2, 12)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,8 +54,12 @@ func TestRunBaseline(t *testing.T) {
 }
 
 func TestRunBaselineBadGrid(t *testing.T) {
-	if _, err := RunBaseline(BaselineSpec{App: "BV_n32", Rows: 0, Cols: 2, Capacity: 12}); err == nil {
-		t.Error("bad grid accepted")
+	// A grid too small for the app, and no grid at all (the baselines
+	// refuse the EML device a zero Arch resolves to).
+	for _, g := range []*arch.Grid{arch.MustNewGrid(1, 2, 12), nil} {
+		if _, err := RunSpec(CompileSpec{App: "BV_n32", Compiler: "murali", Grid: g}); err == nil {
+			t.Errorf("grid %v accepted", g)
+		}
 	}
 }
 
@@ -147,19 +147,15 @@ func TestTable2ShapeHolds(t *testing.T) {
 	// Re-derive one Table 2 row and check the paper's ordering: MUSS-TI
 	// fewest shuttles, MQT most.
 	app := "SQRT_n30"
-	rows, cols, capacity := 2, 3, 8
-	ours, err := RunMussti(MusstiSpec{App: app, Grid: arch.MustNewGrid(rows, cols, capacity), Opts: core.DefaultOptions()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	get := func(a baseline.Algorithm) Measurement {
-		m, err := RunBaseline(BaselineSpec{App: app, Algorithm: a, Rows: rows, Cols: cols, Capacity: capacity})
+	g := arch.MustNewGrid(2, 3, 8)
+	get := func(compiler string) Measurement {
+		m, err := RunSpec(CompileSpec{App: app, Compiler: compiler, Grid: g})
 		if err != nil {
 			t.Fatal(err)
 		}
 		return m
 	}
-	mur, dai, mqt := get(baseline.Murali), get(baseline.Dai), get(baseline.MQT)
+	ours, mur, dai, mqt := get("mussti"), get("murali"), get("dai"), get("mqt")
 	if !(ours.Shuttles <= dai.Shuttles && dai.Shuttles <= mur.Shuttles && mur.Shuttles < mqt.Shuttles) {
 		t.Errorf("shuttle ordering broken: ours=%d dai=%d murali=%d mqt=%d",
 			ours.Shuttles, dai.Shuttles, mur.Shuttles, mqt.Shuttles)

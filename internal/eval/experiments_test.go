@@ -3,6 +3,8 @@ package eval
 import (
 	"strings"
 	"testing"
+
+	"mussti/internal/core"
 )
 
 // TestCheapExperimentsEndToEnd runs the experiments that complete in about
@@ -42,13 +44,12 @@ func TestFig8AblationOrderingOnHeavyApp(t *testing.T) {
 	}
 	// The combined strategy must beat trivial on the most communication-
 	// heavy medium app — the paper's central Fig. 8 claim.
-	trivial, err := RunMussti(MusstiSpec{App: "SQRT_n117",
-		Opts: ablationConfigs[0].Opts})
+	trivialCfg, combinedCfg := ablationConfigs[0].Opts, ablationConfigs[3].Opts
+	trivial, err := RunSpec(CompileSpec{App: "SQRT_n117", Compiler: "mussti", Config: &trivialCfg})
 	if err != nil {
 		t.Fatal(err)
 	}
-	combined, err := RunMussti(MusstiSpec{App: "SQRT_n117",
-		Opts: ablationConfigs[3].Opts})
+	combined, err := RunSpec(CompileSpec{App: "SQRT_n117", Compiler: "mussti", Config: &combinedCfg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,7 +65,7 @@ func TestFig13EnvelopesBoundMussti(t *testing.T) {
 	}
 	// Idealised physics can only help: both envelopes must sit at or
 	// above the realistic run for a representative app.
-	base, err := RunMussti(MusstiSpec{App: "GHZ_n128"})
+	base, err := RunSpec(CompileSpec{App: "GHZ_n128", Compiler: "mussti", Config: &core.CompileConfig{}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,9 +73,8 @@ func TestFig13EnvelopesBoundMussti(t *testing.T) {
 		name           string
 		gates, shuttle bool
 	}{{"perfect gate", true, false}, {"perfect shuttle", false, true}} {
-		spec := MusstiSpec{App: "GHZ_n128"}
-		spec.Opts.Params = idealParams(mode.gates, mode.shuttle)
-		m, err := RunMussti(spec)
+		cfg := core.CompileConfig{Params: idealParams(mode.gates, mode.shuttle)}
+		m, err := RunSpec(CompileSpec{App: "GHZ_n128", Compiler: "mussti", Config: &cfg})
 		if err != nil {
 			t.Fatal(err)
 		}

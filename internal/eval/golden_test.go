@@ -5,28 +5,26 @@ import (
 	"testing"
 
 	"mussti/internal/arch"
-	"mussti/internal/baseline"
 	"mussti/internal/circuit/bench"
 	"mussti/internal/core"
 )
 
-// TestWrapperRegistryByteIdentical is the migration contract of the
-// compiler registry: table2 rendered through the registry path (CompileSpec
-// jobs resolved via LookupCompiler) is byte-identical to the same table
-// computed through the deprecated wrapper API (core.Compile /
-// baseline.Compile with the pre-registry Options types).
+// TestWrapperRegistryByteIdentical is the harness contract of the compiler
+// registry: table2 rendered through the planned CompileSpec jobs is
+// byte-identical to the same table computed by compiling every cell
+// directly through LookupCompiler(...).Compile, outside the eval runner.
 func TestWrapperRegistryByteIdentical(t *testing.T) {
 	p, err := table2Plan(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	viaRegistry, ms, err := p.ExecuteCollect(context.Background(), nil)
+	viaPlan, ms, err := p.ExecuteCollect(context.Background(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	// Recompute every cell through the deprecated wrappers, in the plan's
-	// job order, filling exactly the fields the renderer reads.
+	// Recompute every cell by direct registry compiles, in the plan's job
+	// order, filling exactly the fields the renderer reads.
 	var manual []Measurement
 	for _, st := range table2Structures {
 		g := arch.MustNewGrid(st.Rows, st.Cols, st.Capacity)
@@ -35,10 +33,14 @@ func TestWrapperRegistryByteIdentical(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, algo := range []baseline.Algorithm{baseline.Murali, baseline.Dai, baseline.MQT} {
-				res, err := baseline.Compile(algo, c, g, baseline.Options{})
+			for _, name := range []string{"murali", "dai", "mqt", "mussti"} {
+				comp, err := core.LookupCompiler(name)
 				if err != nil {
-					t.Fatalf("%s/%s: %v", app, algo, err)
+					t.Fatal(err)
+				}
+				res, err := comp.Compile(context.Background(), c, g, nil)
+				if err != nil {
+					t.Fatalf("%s/%s: %v", app, name, err)
 				}
 				manual = append(manual, Measurement{
 					Shuttles: res.Metrics.Shuttles,
@@ -46,66 +48,18 @@ func TestWrapperRegistryByteIdentical(t *testing.T) {
 					Log10F:   res.Metrics.Fidelity.Log10(),
 				})
 			}
-			res, err := core.Compile(c, g.Device(), core.DefaultOptions())
-			if err != nil {
-				t.Fatalf("%s/mussti: %v", app, err)
-			}
-			manual = append(manual, Measurement{
-				Shuttles: res.Metrics.Shuttles,
-				TimeUS:   res.Metrics.MakespanUS,
-				Log10F:   res.Metrics.Fidelity.Log10(),
-			})
 		}
 	}
 	if len(manual) != len(ms) {
-		t.Fatalf("wrapper path produced %d measurements, registry plan %d", len(manual), len(ms))
+		t.Fatalf("direct compiles produced %d measurements, plan %d", len(manual), len(ms))
 	}
-	viaWrappers, err := p.Render(&Results{ms: manual})
+	viaDirect, err := p.Render(&Results{ms: manual})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if viaRegistry != viaWrappers {
-		t.Errorf("registry and deprecated-wrapper table2 differ:\n--- registry ---\n%s--- wrappers ---\n%s",
-			viaRegistry, viaWrappers)
-	}
-}
-
-// TestLegacySpecsShareRegistryCacheKeys: a legacy MusstiSpec/BaselineSpec
-// job and the CompileSpec job describing the same point must share one cache
-// key, so experiments written against either API style dedupe against each
-// other in the measurement cache.
-func TestLegacySpecsShareRegistryCacheKeys(t *testing.T) {
-	opts := core.DefaultOptions()
-	pairs := []struct {
-		name             string
-		legacy, registry Job
-	}{
-		{
-			name:     "mussti-eml",
-			legacy:   Job{Mussti: &MusstiSpec{App: "GHZ_n32", Opts: opts}},
-			registry: Job{Spec: &CompileSpec{App: "GHZ_n32", Compiler: "mussti"}},
-		},
-		{
-			name:     "mussti-grid",
-			legacy:   Job{Mussti: &MusstiSpec{App: "GHZ_n32", Grid: arch.MustNewGrid(2, 2, 12), Opts: opts}},
-			registry: Job{Spec: &CompileSpec{App: "GHZ_n32", Compiler: "mussti", Grid: arch.MustNewGrid(2, 2, 12)}},
-		},
-		{
-			name:     "baseline-dai",
-			legacy:   Job{Baseline: &BaselineSpec{App: "GHZ_n32", Algorithm: baseline.Dai, Rows: 2, Cols: 3, Capacity: 8}},
-			registry: Job{Spec: &CompileSpec{App: "GHZ_n32", Compiler: "dai", Grid: arch.MustNewGrid(2, 3, 8)}},
-		},
-	}
-	for _, p := range pairs {
-		lk, ok1 := p.legacy.cacheKey()
-		rk, ok2 := p.registry.cacheKey()
-		if !ok1 || !ok2 {
-			t.Errorf("%s: uncacheable (legacy %v, registry %v)", p.name, ok1, ok2)
-			continue
-		}
-		if lk != rk {
-			t.Errorf("%s: keys differ across API styles:\nlegacy:   %s\nregistry: %s", p.name, lk, rk)
-		}
+	if viaPlan != viaDirect {
+		t.Errorf("planned and direct-compile table2 differ:\n--- plan ---\n%s--- direct ---\n%s",
+			viaPlan, viaDirect)
 	}
 }
 

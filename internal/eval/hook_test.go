@@ -5,8 +5,6 @@ import (
 	"fmt"
 	"sync"
 	"testing"
-
-	"mussti/internal/core"
 )
 
 // TestRunnerJobHook: the per-job hook must see one outcome per RunJob call —
@@ -21,7 +19,7 @@ func TestRunnerJobHook(t *testing.T) {
 		outcomes = append(outcomes, o)
 		mu.Unlock()
 	})
-	job := Job{Mussti: &MusstiSpec{App: "GHZ_n32", Opts: core.DefaultOptions()}}
+	job := Job{Spec: &CompileSpec{App: "GHZ_n32", Compiler: "mussti"}}
 	for i := 0; i < 2; i++ {
 		if _, err := r.RunJob(context.Background(), job); err != nil {
 			t.Fatal(err)

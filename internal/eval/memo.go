@@ -214,11 +214,9 @@ func (mo *Memo) DoBatch(ctx context.Context, keys []string, batch func(need []in
 
 // cacheKey renders a Job's full configuration as a deterministic string
 // key, or ok=false when the job must not be cached (trace-recording runs,
-// jobs that fail to resolve). All three spec styles normalise to the unified
-// CompileSpec first, so a legacy MusstiSpec job and a registry CompileSpec
-// job describing the same point share one cache entry.
+// jobs without a spec); see CompileSpec.CacheKey.
 func (j Job) cacheKey() (key string, ok bool) {
-	s, err := j.resolve()
+	s, err := j.Resolve()
 	if err != nil {
 		return "", false
 	}

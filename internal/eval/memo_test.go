@@ -17,9 +17,9 @@ import (
 // compile exactly once, however many jobs request them.
 func TestMemoExactlyOnce(t *testing.T) {
 	same := func() Job {
-		return Job{Mussti: &MusstiSpec{App: "GHZ_n32", Opts: core.DefaultOptions()}}
+		return Job{Spec: &CompileSpec{App: "GHZ_n32", Compiler: "mussti"}}
 	}
-	other := Job{Mussti: &MusstiSpec{App: "BV_n32", Opts: core.DefaultOptions()}}
+	other := Job{Spec: &CompileSpec{App: "BV_n32", Compiler: "mussti"}}
 	r := NewRunner(4)
 	ms, err := r.Run(context.Background(), []Job{same(), same(), other, same()})
 	if err != nil {
@@ -46,8 +46,8 @@ func TestMemoExactlyOnce(t *testing.T) {
 func TestMemoSharedAcrossRuns(t *testing.T) {
 	jobs := func() []Job {
 		return []Job{
-			{Mussti: &MusstiSpec{App: "GHZ_n32", Opts: core.DefaultOptions()}},
-			{Baseline: &BaselineSpec{App: "GHZ_n32", Algorithm: 0, Rows: 2, Cols: 2, Capacity: 12}},
+			{Spec: &CompileSpec{App: "GHZ_n32", Compiler: "mussti"}},
+			{Spec: &CompileSpec{App: "GHZ_n32", Compiler: "murali", Grid: arch.MustNewGrid(2, 2, 12)}},
 		}
 	}
 	r := NewRunner(2)
@@ -134,7 +134,7 @@ func TestMemoCancelledLeaderRetries(t *testing.T) {
 // served from cache like results, not recompiled per experiment.
 func TestMemoRealErrorsAreCached(t *testing.T) {
 	r := NewRunner(1)
-	bad := func() []Job { return []Job{{Mussti: &MusstiSpec{App: "Bogus_n1"}}} }
+	bad := func() []Job { return []Job{{Spec: &CompileSpec{App: "Bogus_n1", Compiler: "mussti"}}} }
 	if _, err := r.Run(context.Background(), bad()); err == nil {
 		t.Fatal("bogus app accepted")
 	}
@@ -152,15 +152,15 @@ func TestCacheKeysDistinguishConfigs(t *testing.T) {
 	optsK4 := core.DefaultOptions()
 	optsK4.LookAhead = 4
 	specs := []Job{
-		{Mussti: &MusstiSpec{App: "GHZ_n32", Opts: core.DefaultOptions()}},
-		{Mussti: &MusstiSpec{App: "GHZ_n64", Opts: core.DefaultOptions()}},
-		{Mussti: &MusstiSpec{App: "GHZ_n32", Opts: optsK4}},
-		{Mussti: &MusstiSpec{App: "GHZ_n32", Grid: arch.MustNewGrid(2, 2, 12), Opts: core.DefaultOptions()}},
-		{Mussti: &MusstiSpec{App: "GHZ_n32", Grid: arch.MustNewGrid(2, 3, 12), Opts: core.DefaultOptions()}},
-		{Mussti: &MusstiSpec{App: "GHZ_n32", Grid: arch.MustNewGrid(2, 2, 8), Opts: core.DefaultOptions()}},
-		{Baseline: &BaselineSpec{App: "GHZ_n32", Algorithm: 0, Rows: 2, Cols: 2, Capacity: 12}},
-		{Baseline: &BaselineSpec{App: "GHZ_n32", Algorithm: 1, Rows: 2, Cols: 2, Capacity: 12}},
-		{Baseline: &BaselineSpec{App: "GHZ_n32", Algorithm: 0, Rows: 2, Cols: 2, Capacity: 8}},
+		{Spec: &CompileSpec{App: "GHZ_n32", Compiler: "mussti"}},
+		{Spec: &CompileSpec{App: "GHZ_n64", Compiler: "mussti"}},
+		{Spec: &CompileSpec{App: "GHZ_n32", Compiler: "mussti", Config: &optsK4}},
+		{Spec: &CompileSpec{App: "GHZ_n32", Compiler: "mussti", Grid: arch.MustNewGrid(2, 2, 12)}},
+		{Spec: &CompileSpec{App: "GHZ_n32", Compiler: "mussti", Grid: arch.MustNewGrid(2, 3, 12)}},
+		{Spec: &CompileSpec{App: "GHZ_n32", Compiler: "mussti", Grid: arch.MustNewGrid(2, 2, 8)}},
+		{Spec: &CompileSpec{App: "GHZ_n32", Compiler: "murali", Grid: arch.MustNewGrid(2, 2, 12)}},
+		{Spec: &CompileSpec{App: "GHZ_n32", Compiler: "dai", Grid: arch.MustNewGrid(2, 2, 12)}},
+		{Spec: &CompileSpec{App: "GHZ_n32", Compiler: "murali", Grid: arch.MustNewGrid(2, 2, 8)}},
 	}
 	seen := make(map[string]int)
 	for i, j := range specs {
@@ -174,8 +174,8 @@ func TestCacheKeysDistinguishConfigs(t *testing.T) {
 		seen[key] = i
 	}
 	// An identical respec must reproduce the key.
-	a, _ := Job{Mussti: &MusstiSpec{App: "GHZ_n32", Opts: core.DefaultOptions()}}.cacheKey()
-	b, _ := Job{Mussti: &MusstiSpec{App: "GHZ_n32", Opts: core.DefaultOptions()}}.cacheKey()
+	a, _ := Job{Spec: &CompileSpec{App: "GHZ_n32", Compiler: "mussti"}}.cacheKey()
+	b, _ := Job{Spec: &CompileSpec{App: "GHZ_n32", Compiler: "mussti"}}.cacheKey()
 	if a != b {
 		t.Errorf("identical specs produced different keys:\n%s\n%s", a, b)
 	}
@@ -187,13 +187,13 @@ func TestCacheKeysDistinguishConfigs(t *testing.T) {
 func TestTraceJobsBypassCache(t *testing.T) {
 	traced := core.DefaultOptions()
 	traced.Trace = true
-	if _, ok := (Job{Mussti: &MusstiSpec{App: "GHZ_n32", Opts: traced}}).cacheKey(); ok {
+	if _, ok := (Job{Spec: &CompileSpec{App: "GHZ_n32", Compiler: "mussti", Config: &traced}}).cacheKey(); ok {
 		t.Error("trace-recording mussti job was cacheable")
 	}
 	observed := core.DefaultOptions()
 	observed.Observer = &nopObsForTest{}
-	plainKey, ok1 := Job{Mussti: &MusstiSpec{App: "GHZ_n32", Opts: core.DefaultOptions()}}.cacheKey()
-	obsKey, ok2 := Job{Mussti: &MusstiSpec{App: "GHZ_n32", Opts: observed}}.cacheKey()
+	plainKey, ok1 := Job{Spec: &CompileSpec{App: "GHZ_n32", Compiler: "mussti"}}.cacheKey()
+	obsKey, ok2 := Job{Spec: &CompileSpec{App: "GHZ_n32", Compiler: "mussti", Config: &observed}}.cacheKey()
 	if !ok1 || !ok2 || plainKey != obsKey {
 		t.Errorf("observer changed cacheability or key: %v %v\n%s\n%s", ok1, ok2, plainKey, obsKey)
 	}
@@ -314,7 +314,7 @@ func TestCancelledRunLeavesNoGoroutines(t *testing.T) {
 		opts := core.DefaultOptions()
 		// The first job to execute a gate cancels the whole run in flight.
 		opts.Observer = cancelOnGate{cancel: cancel, after: 1}
-		jobs[i] = Job{Mussti: &MusstiSpec{App: "GHZ_n64", Opts: opts}}
+		jobs[i] = Job{Spec: &CompileSpec{App: "GHZ_n64", Compiler: "mussti", Config: &opts}}
 	}
 	if _, err := r.Run(ctx, jobs); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
@@ -347,7 +347,7 @@ func TestRunnerPassesContextMidCompile(t *testing.T) {
 	// stopped between measurements).
 	opts := core.DefaultOptions()
 	opts.Observer = cancelOnGate{cancel: cancel, after: 10}
-	jobs := []Job{{Mussti: &MusstiSpec{App: "SQRT_n117", Opts: opts}}}
+	jobs := []Job{{Spec: &CompileSpec{App: "SQRT_n117", Compiler: "mussti", Config: &opts}}}
 	start := time.Now()
 	_, err := r.Run(ctx, jobs)
 	if !errors.Is(err, context.Canceled) {

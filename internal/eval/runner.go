@@ -27,44 +27,27 @@ import (
 // measurement points across experiments through a shared Memo, and can
 // attach per-job progress observers.
 
-// Job is one independent measurement: a registry-resolved Spec, or one of
-// the deprecated Mussti/Baseline spec types (converted internally). Exactly
-// one of the three is set. Jobs share no mutable state, so any number may
-// run concurrently.
+// Job is one independent measurement, described by a registry-resolved
+// CompileSpec. Jobs share no mutable state, so any number may run
+// concurrently.
 type Job struct {
 	Spec *CompileSpec
-	// Deprecated: Mussti/Baseline are the pre-registry spec types; set Spec
-	// in new code.
-	Mussti   *MusstiSpec
-	Baseline *BaselineSpec
 }
 
-// Resolve normalises the job to the unified CompileSpec, whichever spec
-// style built it. Wire codecs (internal/dist) serialise the resolved spec,
-// so a legacy MusstiSpec/BaselineSpec job crosses process boundaries as the
-// same envelope its registry-style equivalent would.
-func (j Job) Resolve() (CompileSpec, error) { return j.resolve() }
-
-// resolve normalises the job to the unified CompileSpec, whichever spec
-// style built it. Every consumer — execution, cache keys, progress labels —
-// goes through this one conversion, so the three spec styles cannot drift.
-func (j Job) resolve() (CompileSpec, error) {
-	switch {
-	case j.Spec != nil:
-		return *j.Spec, nil
-	case j.Mussti != nil:
-		return j.Mussti.spec(), nil
-	case j.Baseline != nil:
-		return j.Baseline.spec()
-	default:
+// Resolve returns the job's CompileSpec — the one view every consumer
+// (execution, cache keys, progress labels, the internal/dist wire codec)
+// reads. A job without a Spec is an error.
+func (j Job) Resolve() (CompileSpec, error) {
+	if j.Spec == nil {
 		return CompileSpec{}, fmt.Errorf("eval: empty job")
 	}
+	return *j.Spec, nil
 }
 
 // run executes the measurement this job describes. ctx cancellation aborts
 // the compile within one scheduler step.
 func (j Job) run(ctx context.Context) (Measurement, error) {
-	s, err := j.resolve()
+	s, err := j.Resolve()
 	if err != nil {
 		return Measurement{}, err
 	}
@@ -76,14 +59,23 @@ func (j Job) run(ctx context.Context) (Measurement, error) {
 // hangs on. The cache key is unaffected: Observer is excluded from
 // CompileConfig.CacheKey, so an observed request still coalesces with (and
 // is served by) unobserved ones.
-func (j Job) WithObserver(obs core.Observer) Job { return j.withObserver(obs) }
+func (j Job) WithObserver(obs core.Observer) Job {
+	return j.withConfig(func(c *core.CompileConfig) { c.Observer = obs })
+}
 
-// withObserver returns a copy of the job with obs attached to its compile
-// configuration; the original job (and its spec) stays untouched, so cache
-// keys and replans are unaffected. Jobs that fail to resolve are returned
-// unchanged — the error surfaces when the job runs.
-func (j Job) withObserver(obs core.Observer) Job {
-	s, err := j.resolve()
+// withParallelism returns a copy of the job whose compile may run up to n
+// scheduling passes concurrently (core's intra-compile parallelism). The
+// cache key is unaffected: Parallelism is excluded from CacheKey.
+func (j Job) withParallelism(n int) Job {
+	return j.withConfig(func(c *core.CompileConfig) { c.Parallelism = n })
+}
+
+// withConfig returns a copy of the job whose effective compile
+// configuration is edited by set; the original job (and its spec) stays
+// untouched, so cache keys and replans are unaffected. A job without a spec
+// is returned unchanged — the error surfaces when it runs.
+func (j Job) withConfig(set func(*core.CompileConfig)) Job {
+	s, err := j.Resolve()
 	if err != nil {
 		return j
 	}
@@ -94,27 +86,7 @@ func (j Job) withObserver(obs core.Observer) Job {
 	} else if s.Config != nil {
 		cfg = *s.Config
 	}
-	cfg.Observer = obs
-	s.Config = &cfg
-	return Job{Spec: &s}
-}
-
-// withParallelism returns a copy of the job whose compile may run up to n
-// scheduling passes concurrently (core's intra-compile parallelism). Like
-// withObserver it leaves the original job untouched — and the cache key is
-// unaffected anyway, since Parallelism is excluded from CacheKey.
-func (j Job) withParallelism(n int) Job {
-	s, err := j.resolve()
-	if err != nil {
-		return j
-	}
-	var cfg core.CompileConfig
-	if comp, err := core.LookupCompiler(s.Compiler); err == nil {
-		cfg = s.config(comp)
-	} else if s.Config != nil {
-		cfg = *s.Config
-	}
-	cfg.Parallelism = n
+	set(&cfg)
 	s.Config = &cfg
 	return Job{Spec: &s}
 }
@@ -338,12 +310,6 @@ func (r *Runner) RunJob(ctx context.Context, j Job) (Measurement, error) {
 	if r == nil {
 		return j.run(ctx)
 	}
-	return r.runJob(ctx, j)
-}
-
-// runJob executes one job with the runner's cache and progress layers
-// applied.
-func (r *Runner) runJob(ctx context.Context, j Job) (Measurement, error) {
 	return r.runJobN(ctx, j, 1)
 }
 
@@ -401,7 +367,7 @@ func (r *Runner) RunJobs(ctx context.Context, jobs []Job) ([]Measurement, []erro
 				// result or error. Members the batch already computed hit the
 				// memo and cost nothing.
 				for _, i := range unit {
-					ms[i], errs[i] = r.runJob(ctx, jobs[i])
+					ms[i], errs[i] = r.runJobN(ctx, jobs[i], 1)
 				}
 			}
 			r.releaseSlots(extra)
@@ -411,10 +377,11 @@ func (r *Runner) RunJobs(ctx context.Context, jobs []Job) ([]Measurement, []erro
 	return ms, errs
 }
 
-// runJobN is runJob with an intra-compile parallelism bound: parallelism is
-// how many semaphore slots the caller holds for this job (1 plus any
-// borrowed), which caps how many scheduling passes the compile may run
-// concurrently — so boosted compiles never oversubscribe the pool.
+// runJobN executes one job with the runner's cache, progress, remote and
+// hook layers applied, under an intra-compile parallelism bound:
+// parallelism is how many semaphore slots the caller holds for this job (1
+// plus any borrowed), which caps how many scheduling passes the compile may
+// run concurrently — so boosted compiles never oversubscribe the pool.
 func (r *Runner) runJobN(ctx context.Context, j Job, parallelism int) (Measurement, error) {
 	var prog *jobProgress
 	exec := j
@@ -426,7 +393,7 @@ func (r *Runner) runJobN(ctx context.Context, j Job, parallelism int) (Measureme
 		if r.remote == nil {
 			// Observers cannot cross a process boundary; remotely executed
 			// jobs report completion ticks only.
-			exec = exec.withObserver(prog)
+			exec = exec.WithObserver(prog)
 		}
 	}
 	run := exec.run

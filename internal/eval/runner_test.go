@@ -6,8 +6,6 @@ import (
 	"strings"
 	"testing"
 	"time"
-
-	"mussti/internal/core"
 )
 
 // TestParallelMatchesSequential is the determinism contract of the runner:
@@ -41,7 +39,7 @@ func TestParallelMatchesSequential(t *testing.T) {
 func ghzJobs(n int) []Job {
 	jobs := make([]Job, n)
 	for i := range jobs {
-		jobs[i] = Job{Mussti: &MusstiSpec{App: "GHZ_n32", Opts: core.DefaultOptions()}}
+		jobs[i] = Job{Spec: &CompileSpec{App: "GHZ_n32", Compiler: "mussti"}}
 	}
 	return jobs
 }
@@ -71,7 +69,7 @@ func TestRunnerCancelledMidRun(t *testing.T) {
 	r.DisableCache()
 	jobs := make([]Job, 4)
 	for i := range jobs {
-		jobs[i] = Job{Mussti: &MusstiSpec{App: "SQRT_n299", Opts: core.DefaultOptions()}}
+		jobs[i] = Job{Spec: &CompileSpec{App: "SQRT_n299", Compiler: "mussti"}}
 	}
 	go func() {
 		time.Sleep(5 * time.Millisecond)
@@ -95,9 +93,9 @@ func TestRunnerFirstErrorInJobOrder(t *testing.T) {
 	// count, because workers claim jobs in index order and a claimed job
 	// always runs to completion.
 	jobs := []Job{
-		{Mussti: &MusstiSpec{App: "GHZ_n32", Opts: core.DefaultOptions()}},
-		{Mussti: &MusstiSpec{App: "Bogus_n1"}},
-		{Mussti: &MusstiSpec{App: "AlsoBogus_n1"}},
+		{Spec: &CompileSpec{App: "GHZ_n32", Compiler: "mussti"}},
+		{Spec: &CompileSpec{App: "Bogus_n1", Compiler: "mussti"}},
+		{Spec: &CompileSpec{App: "AlsoBogus_n1", Compiler: "mussti"}},
 	}
 	_, seqErr := (*Runner)(nil).Run(context.Background(), jobs)
 	if seqErr == nil || !strings.Contains(seqErr.Error(), `"bogus"`) {

@@ -10,10 +10,21 @@ import (
 	"mussti"
 )
 
+// compileMussti compiles c with MUSS-TI through the registry; a nil cfg
+// means the paper defaults.
+func compileMussti(t *testing.T, ctx context.Context, c *mussti.Circuit, target mussti.Target, cfg *mussti.CompileConfig) (*mussti.Result, error) {
+	t.Helper()
+	comp, err := mussti.LookupCompiler("mussti")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return comp.Compile(ctx, c, target, cfg)
+}
+
 func TestPublicQuickstartFlow(t *testing.T) {
 	c := mussti.Benchmark("QFT_n32")
 	dev := mussti.NewDevice(mussti.DeviceConfigFor(c.NumQubits))
-	res, err := mussti.Compile(c, dev, mussti.DefaultOptions())
+	res, err := compileMussti(t, context.Background(), c, dev, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -32,7 +43,7 @@ func TestPublicCircuitConstruction(t *testing.T) {
 	c.Measure(0)
 	c.Measure(1)
 	dev := mussti.NewDevice(mussti.DeviceConfigFor(2))
-	res, err := mussti.Compile(c, dev, mussti.DefaultOptions())
+	res, err := compileMussti(t, context.Background(), c, dev, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,13 +69,17 @@ func TestPublicBaselines(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, algo := range []mussti.BaselineAlgorithm{mussti.BaselineMurali, mussti.BaselineDai, mussti.BaselineMQT} {
-		res, err := mussti.CompileBaseline(algo, c, g, mussti.BaselineOptions{})
+	for _, name := range []string{"murali", "dai", "mqt"} {
+		comp, err := mussti.LookupCompiler(name)
 		if err != nil {
-			t.Fatalf("%v: %v", algo, err)
+			t.Fatal(err)
+		}
+		res, err := comp.Compile(context.Background(), c, g, nil)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
 		}
 		if res.Metrics.Gates2 == 0 {
-			t.Errorf("%v executed no gates", algo)
+			t.Errorf("%s executed no gates", name)
 		}
 	}
 }
@@ -142,14 +157,12 @@ func TestPublicCompileContextAndObserver(t *testing.T) {
 
 	cancelled, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := mussti.CompileContext(cancelled, c, dev, mussti.DefaultOptions()); !errors.Is(err, context.Canceled) {
+	if _, err := compileMussti(t, cancelled, c, dev, nil); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 
 	obs := &tickObserver{}
-	opts := mussti.DefaultOptions()
-	opts.Observer = obs
-	if _, err := mussti.CompileContext(context.Background(), c, dev, opts); err != nil {
+	if _, err := compileMussti(t, context.Background(), c, dev, mussti.NewCompileConfig(mussti.WithObserver(obs))); err != nil {
 		t.Fatal(err)
 	}
 	if obs.gates == 0 {
@@ -160,7 +173,11 @@ func TestPublicCompileContextAndObserver(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := mussti.CompileBaselineContext(cancelled, mussti.BaselineDai, c, g, mussti.BaselineOptions{}); !errors.Is(err, context.Canceled) {
+	dai, err := mussti.LookupCompiler("dai")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := dai.Compile(cancelled, c, g, nil); !errors.Is(err, context.Canceled) {
 		t.Fatalf("baseline err = %v, want context.Canceled", err)
 	}
 }
