@@ -113,31 +113,6 @@ func compileLoop(b *testing.B, app string, cfg *mussti.CompileConfig) {
 	}
 }
 
-// compileBatchBench compiles `variants` look-ahead sweeps of one circuit
-// through CompileBatch: one shared prep, one bounded worker group. Compare
-// ns/op against variants × compile/<app> to see the shared-prep and fan-out
-// saving.
-func compileBatchBench(app string, nvariants int) func(b *testing.B) {
-	return func(b *testing.B) {
-		c := bench.MustByName(app)
-		dev := mussti.NewDevice(mussti.DeviceConfigFor(c.NumQubits))
-		variants := make([]mussti.BatchVariant, nvariants)
-		for i := range variants {
-			variants[i] = mussti.BatchVariant{
-				Target: dev,
-				Config: mussti.NewCompileConfig(mussti.WithLookAhead(i + 1)),
-			}
-		}
-		ctx := context.Background()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := mussti.CompileBatch(ctx, c, variants); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}
-}
-
 // distBench measures dispatch throughput through a two-worker fleet of
 // re-executed benchjson processes in -worker mode, each job a trivial
 // sub-millisecond compile with the worker's cache disabled (every envelope
@@ -205,7 +180,6 @@ func main() {
 		measure("compile/QFT_n32-trivialmap", compileTrivialBench("QFT_n32")),
 		measure("compile/SQRT_n299", compileBench("SQRT_n299")),
 		measure("compile-parallel/SQRT_n299", compileParallelBench("SQRT_n299", 2)),
-		measure("compilebatch/QFT_n32x8", compileBatchBench("QFT_n32", 8)),
 		measure("dist/roundtrip", distBench(1)),
 		measure("dist/pipelined", distBench(4)),
 		measure("dag/build/SQRT_n299", func(b *testing.B) {

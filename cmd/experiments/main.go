@@ -12,9 +12,8 @@
 // times, so their own measurements always run serially and uncached — for
 // faithful timing curves run them alone (-exp fig10) rather than in all
 // mode, where concurrent neighbour experiments still compete for CPU. The
-// runner flags (-j -cache -batch -cachedir -dist -pipeline -launcher
-// -worker) mean the same here as in cmd/musstid; internal/runnerflags owns
-// them.
+// runner flags (-j -cache -cachedir -dist -pipeline -launcher -worker)
+// mean the same here as in cmd/musstid; internal/runnerflags owns them.
 //
 //	go run ./cmd/experiments -exp table2
 //	go run ./cmd/experiments -exp table2 -compilers=dai,mussti
@@ -48,7 +47,7 @@ func realMain() int {
 	exp := flag.String("exp", "", "experiment ID to run (default: all)")
 	list := flag.Bool("list", false, "list registered compilers and experiment IDs, then exit")
 	compilers := flag.String("compilers", "", "comma-separated registry names; experiments measure only these compilers (default: each experiment's paper set)")
-	parallel := flag.Bool("parallel", true, "fan measurements (and, in all-experiments mode, whole experiments) out over a worker pool; -j, -cache, -batch, -cachedir and -progress need it, -dist implies it")
+	parallel := flag.Bool("parallel", true, "fan measurements (and, in all-experiments mode, whole experiments) out over a worker pool; -j, -cache, -cachedir and -progress need it, -dist implies it")
 	rf := runnerflags.Register(flag.CommandLine)
 	progress := flag.Bool("progress", false, "print per-job progress tick lines to stderr (needs -parallel)")
 	csvPath := flag.String("csv", "", "write every structured Measurement row to this CSV file")
@@ -168,8 +167,8 @@ func realMain() int {
 		}
 		runner = r
 	} else {
-		if *progress || !rf.Cache || !rf.Batch {
-			fmt.Fprintln(os.Stderr, "experiments: -progress, -cache and -batch need -parallel; ignoring")
+		if *progress || !rf.Cache {
+			fmt.Fprintln(os.Stderr, "experiments: -progress and -cache need -parallel; ignoring")
 		}
 		if rf.CacheDir != "" {
 			fmt.Fprintln(os.Stderr, "experiments: -cachedir needs -parallel or -dist; ignoring")

@@ -7,8 +7,8 @@ import (
 	"strings"
 )
 
-// leakcheckScope names the package-path fragments the pass covers: the PR 7
-// concurrency machinery (worker pools, batch fan-out, the process fleet) and
+// leakcheckScope names the package-path fragments the pass covers: the
+// concurrency machinery (worker pools, candidate fan-out, the process fleet) and
 // the pass's own fixtures. cmd/ entry points are excluded deliberately —
 // their goroutines live for the process and are reaped by exit.
 var leakcheckScope = []string{

@@ -52,22 +52,39 @@ func Families() []string {
 	return out
 }
 
-// generate builds a benchmark from a "Family_nNN" identifier without
-// consulting the cache. ByName (cache.go) memoizes it.
-func generate(name string) (*circuit.Circuit, error) {
-	base := name
+// parseName resolves a "Family_nNN" identifier to its generator and qubit
+// count.
+func parseName(name string) (Generator, int, error) {
 	i := strings.LastIndex(name, "_n")
 	if i < 0 {
-		return nil, fmt.Errorf("bench: malformed name %q (want Family_nNN)", name)
+		return nil, 0, fmt.Errorf("bench: malformed name %q (want Family_nNN)", name)
 	}
-	base = strings.ToLower(name[:i])
+	base := strings.ToLower(name[:i])
 	n, err := strconv.Atoi(name[i+2:])
 	if err != nil || n <= 0 {
-		return nil, fmt.Errorf("bench: malformed qubit count in %q", name)
+		return nil, 0, fmt.Errorf("bench: malformed qubit count in %q", name)
 	}
 	gen, ok := generators[base]
 	if !ok {
-		return nil, fmt.Errorf("bench: unknown family %q (have %v)", base, Families())
+		return nil, 0, fmt.Errorf("bench: unknown family %q (have %v)", base, Families())
+	}
+	return gen, n, nil
+}
+
+// Qubits validates a "Family_nNN" identifier and returns its qubit count
+// without generating the circuit — so a caller can refuse an oversized
+// request before paying for it.
+func Qubits(name string) (int, error) {
+	_, n, err := parseName(name)
+	return n, err
+}
+
+// generate builds a benchmark from a "Family_nNN" identifier without
+// consulting the cache. ByName (cache.go) memoizes it.
+func generate(name string) (*circuit.Circuit, error) {
+	gen, n, err := parseName(name)
+	if err != nil {
+		return nil, err
 	}
 	c := gen(n)
 	c.Name = name

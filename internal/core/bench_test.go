@@ -146,21 +146,23 @@ func BenchmarkCompileParallel(b *testing.B) {
 	}
 }
 
-// BenchmarkCompileBatch compiles an 8-variant look-ahead sweep through one
-// CompileBatch call: one shared prep, one worker group. Compare against 8×
-// BenchmarkCompileSABRE for the shared-prep saving.
-func BenchmarkCompileBatch(b *testing.B) {
+// BenchmarkCompileSweep compiles an 8-variant look-ahead sweep of QFT_n32
+// back to back through CompileContext, each variant building its own prep —
+// the per-job path every runner and service compile takes.
+func BenchmarkCompileSweep(b *testing.B) {
 	c := bench.MustByName("QFT_n32")
 	d := arch.MustNew(arch.DefaultConfig(c.NumQubits))
-	variants := make([]BatchVariant, 8)
+	variants := make([]CompileConfig, 8)
 	for i := range variants {
-		variants[i] = BatchVariant{Target: d, Config: NewCompileConfig(WithLookAhead(i + 1))}
+		variants[i] = *NewCompileConfig(WithLookAhead(i + 1))
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := CompileBatch(context.Background(), c, variants); err != nil {
-			b.Fatal(err)
+		for _, cfg := range variants {
+			if _, err := CompileContext(context.Background(), c, d, cfg); err != nil {
+				b.Fatal(err)
+			}
 		}
 	}
 }

@@ -190,6 +190,18 @@ func (musstiCompiler) Compile(ctx context.Context, c *circuit.Circuit, t arch.Ta
 	return CompileContext(ctx, c, d, opts)
 }
 
+// deviceFor resolves a Target to the EML-QCCD device MUSS-TI schedules on:
+// a *Device directly, or a *Grid through the zone/module adapter.
+func deviceFor(t arch.Target) (*arch.Device, error) {
+	switch tt := t.(type) {
+	case *arch.Device:
+		return tt, nil
+	case *arch.Grid:
+		return tt.Device(), nil
+	}
+	return nil, fmt.Errorf("core: mussti cannot target %T (want *arch.Device or *arch.Grid)", t)
+}
+
 func init() {
 	MustRegisterCompiler(musstiCompiler{})
 }

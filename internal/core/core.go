@@ -88,37 +88,30 @@ func CompileContext(ctx context.Context, c *circuit.Circuit, d *arch.Device, opt
 	// One prep serves every pass over c in this compile — the SABRE forward
 	// probe and each candidate production run — via Graph.Reset; only the
 	// reversed probe circuit needs its own build.
-	res, err := compileWithPrep(ctx, newPrep(c), d, opts)
-	if err != nil {
-		return nil, err
-	}
-	res.CompileTime = time.Since(start) //mussti:allow=determinism CompileTime is reporting metadata, never schedule input
-	return res, nil
-}
-
-// compileWithPrep runs the candidate loop over an existing prep. opts must
-// already be withDefaults-normalised and the circuit known to fit d (the
-// callers — CompileContext and CompileBatch — check capacity). CompileTime
-// is left zero for the caller to stamp.
-func compileWithPrep(ctx context.Context, p *prep, d *arch.Device, opts CompileConfig) (*Result, error) {
-	if opts.Parallelism > 1 && opts.Mapping == MappingSABRE {
-		return compileParallel(ctx, p, d, opts)
-	}
-	candidates, err := candidateMappings(ctx, p, d, opts)
-	if err != nil {
-		return nil, err
-	}
+	p := newPrep(c)
 	var best *Result
-	for _, initial := range candidates {
-		if err := ctx.Err(); err != nil {
+	if opts.Parallelism > 1 && opts.Mapping == MappingSABRE {
+		var err error
+		if best, err = compileParallel(ctx, p, d, opts); err != nil {
 			return nil, err
 		}
-		res, err := runCandidate(ctx, p, d, opts, initial)
+	} else {
+		candidates, err := candidateMappings(ctx, p, d, opts)
 		if err != nil {
 			return nil, err
 		}
-		best = betterResult(best, res)
+		for _, initial := range candidates {
+			if err := ctx.Err(); err != nil {
+				return nil, err
+			}
+			res, err := runCandidate(ctx, p, d, opts, initial)
+			if err != nil {
+				return nil, err
+			}
+			best = betterResult(best, res)
+		}
 	}
+	best.CompileTime = time.Since(start) //mussti:allow=determinism CompileTime is reporting metadata, never schedule input
 	return best, nil
 }
 
@@ -167,7 +160,7 @@ func betterResult(best, res *Result) *Result {
 // prep. The probe chain is inherently serial (each pass starts from the
 // previous pass's final mapping), so two workers already expose all the
 // structural parallelism a SABRE compile has; Parallelism > 2 adds nothing
-// here (CompileBatch is the knob that scales wider).
+// here.
 //
 // Errors reduce in the same order the sequential path would surface them:
 // outer-context cancellation first, then the mapping search, then

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"reflect"
 	"runtime"
-	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -79,75 +78,6 @@ func TestParallelTrivialMappingUnaffected(t *testing.T) {
 	}
 	if !reflect.DeepEqual(stripTime(seq), stripTime(par)) {
 		t.Error("trivial-mapping Result changed under Parallelism=8")
-	}
-}
-
-// TestCompileBatchMatchesIndividual: every batch member must be
-// byte-identical to a standalone CompileContext of the same variant, at any
-// worker bound, including traced and grid-targeted variants.
-func TestCompileBatchMatchesIndividual(t *testing.T) {
-	c := bench.MustByName("QFT_n32")
-	d := arch.MustNew(arch.DefaultConfig(c.NumQubits))
-	g, err := arch.NewGrid(2, 3, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	variants := []BatchVariant{
-		{Target: d, Config: nil}, // nil config = paper defaults
-		{Target: d, Config: NewCompileConfig(WithLookAhead(4))},
-		{Target: d, Config: NewCompileConfig(WithTrace())},
-		{Target: d, Config: NewCompileConfig(WithMapping(MappingTrivial))},
-		{Target: d, Config: NewCompileConfig(WithSwapInsertion(false))},
-		{Target: g, Config: nil},
-	}
-	want := make([]Result, len(variants))
-	for i, v := range variants {
-		opts := DefaultOptions()
-		if v.Config != nil {
-			opts = *v.Config
-		}
-		dev, err := deviceFor(v.Target)
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := CompileContext(context.Background(), c, dev, opts)
-		if err != nil {
-			t.Fatalf("variant %d: %v", i, err)
-		}
-		want[i] = stripTime(res)
-	}
-	for _, workers := range []int{0, 1, 3} {
-		results, err := CompileBatchBounded(context.Background(), c, variants, workers)
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		if len(results) != len(variants) {
-			t.Fatalf("workers=%d: got %d results, want %d", workers, len(results), len(variants))
-		}
-		for i, res := range results {
-			if !reflect.DeepEqual(stripTime(res), want[i]) {
-				t.Errorf("workers=%d variant %d: batch Result differs from standalone compile", workers, i)
-			}
-		}
-	}
-}
-
-// TestCompileBatchValidation: bad variants fail fast with the lowest index
-// named, before any scheduling work.
-func TestCompileBatchValidation(t *testing.T) {
-	c := bench.MustByName("SQRT_n299")
-	// DefaultConfig(8) still allocates a full 4-module block (capacity 128),
-	// so a 299-qubit circuit is what actually overflows it.
-	small := arch.MustNew(arch.DefaultConfig(8))
-	big := arch.MustNew(arch.DefaultConfig(c.NumQubits))
-	_, err := CompileBatch(context.Background(), c, []BatchVariant{
-		{Target: big}, {Target: small}, {Target: small},
-	})
-	if err == nil || !strings.Contains(err.Error(), "batch variant 1") {
-		t.Errorf("err = %v, want capacity failure naming variant 1", err)
-	}
-	if res, err := CompileBatch(context.Background(), c, nil); err != nil || res != nil {
-		t.Errorf("empty batch = (%v, %v), want (nil, nil)", res, err)
 	}
 }
 
@@ -229,45 +159,6 @@ func TestCompileContextMidCompileCancelParallel(t *testing.T) {
 		t.Errorf("cancelled parallel compile took %s, want a prompt return", elapsed)
 	}
 	waitForGoroutines(t, baseline)
-}
-
-// TestCompileBatchMidCompileCancel: cancelling mid-batch must abort every
-// in-flight variant promptly and join all workers before returning.
-func TestCompileBatchMidCompileCancel(t *testing.T) {
-	c := bench.MustByName("SQRT_n117")
-	d := arch.MustNew(arch.DefaultConfig(c.NumQubits))
-	baseline := runtime.NumGoroutine()
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	variants := make([]BatchVariant, 4)
-	for i := range variants {
-		cfg := DefaultOptions()
-		if i == 0 {
-			cfg.Observer = &cancelAfterGates{n: 100, cancel: cancel}
-		}
-		variants[i] = BatchVariant{Target: d, Config: &cfg}
-	}
-	start := time.Now()
-	_, err := CompileBatchBounded(ctx, c, variants, 4)
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want context.Canceled (batch was not interrupted)", err)
-	}
-	if elapsed := time.Since(start); elapsed > 2*time.Second {
-		t.Errorf("cancelled batch took %s, want a prompt return", elapsed)
-	}
-	waitForGoroutines(t, baseline)
-}
-
-// TestCompileBatchPreCancelled: an already-dead context aborts the batch
-// before any variant completes.
-func TestCompileBatchPreCancelled(t *testing.T) {
-	c := bench.MustByName("QFT_n32")
-	d := arch.MustNew(arch.DefaultConfig(c.NumQubits))
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	if _, err := CompileBatch(ctx, c, []BatchVariant{{Target: d}, {Target: d}}); !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want context.Canceled", err)
-	}
 }
 
 // TestParallelFanOutAllocationCeiling guards the candidate fan-out path

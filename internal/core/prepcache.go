@@ -34,7 +34,7 @@ var reversePreps = struct {
 // from a fresh one.
 //
 // Safe under concurrent compiles of one circuit (intra-compile parallelism
-// fans compiles out and CompileBatch compiles many variants at once): the
+// fans candidate passes out, and runners compile jobs concurrently): the
 // map is mutex-guarded, pool.Get hands each goroutine an exclusive prep,
 // and returning a prep to a pool that a concurrent wholesale clear has
 // since orphaned merely lets the GC reclaim it. TestReversePrepConcurrent

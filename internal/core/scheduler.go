@@ -90,7 +90,7 @@ func newPrep(c *circuit.Circuit) *prep {
 //
 //mussti:hotpath
 func (p *prep) clone() *prep {
-	return &prep{c: p.c, g: p.g.Clone(), perQubit: p.perQubit, next2q: p.next2q} //mussti:allow=hotalloc one header per batch worker, amortised over its whole variant share
+	return &prep{c: p.c, g: p.g.Clone(), perQubit: p.perQubit, next2q: p.next2q} //mussti:allow=hotalloc one header per concurrent candidate pass, amortised over the whole pass
 }
 
 func newScheduler(ctx context.Context, c *circuit.Circuit, d *arch.Device, opts CompileConfig, initial []int) (*scheduler, error) {

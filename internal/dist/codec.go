@@ -21,8 +21,8 @@
 // results to outstanding jobs by seq, so results may complete out of order
 // on the wire; paper-order reassembly stays Runner-side and a distributed
 // run is byte-identical to a sequential one. Sub-millisecond jobs coalesce
-// into batch frames, which the worker executes through the shared-prep
-// CompileBatch path. Pings answer from the worker's read loop even while a
+// into batch frames, which save wire round-trips; the worker runs their
+// members one by one through Runner.RunJobs. Pings answer from the worker's read loop even while a
 // compile is running, so a live worker is distinguishable from a hung one.
 // The envelope is versioned: a coordinator and worker disagreeing on the
 // format fail loudly instead of mis-measuring.
@@ -59,8 +59,8 @@ const wireChecksum = "3ce215cc13197461"
 const (
 	// KindJob carries one job (coordinator → worker).
 	KindJob = "job"
-	// KindBatch carries several jobs in one frame; the worker may compile
-	// them through a shared prep (coordinator → worker).
+	// KindBatch carries several jobs in one frame, saving wire round-trips;
+	// the worker answers each member (coordinator → worker).
 	KindBatch = "batch"
 	// KindPing is a liveness probe (coordinator → worker).
 	KindPing = "ping"

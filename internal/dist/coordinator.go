@@ -28,10 +28,10 @@ import (
 // goroutine pair that keeps up to Pipeline jobs in flight at once, matching
 // results to outstanding jobs by seq (results may complete out of order on
 // the wire; ordering is the Runner's job). Jobs arriving while a worker has
-// window to spare coalesce into one batch frame, which the worker compiles
-// through the shared-prep CompileBatch path. Post-PR 4 most compiles are
-// sub-millisecond, so without the window every job would pay a full process
-// round-trip of protocol latency; with it the pipe and the worker stay busy
+// window to spare coalesce into one batch frame, which the worker answers
+// job by job through Runner.RunJobs. Most compiles are sub-millisecond, so
+// without the window every job would pay a full process round-trip of
+// protocol latency; with it the pipe and the worker stay busy
 // simultaneously.
 //
 // Liveness: the sender pings each worker every heartbeat interval, and the
@@ -96,11 +96,6 @@ type CoordinatorOptions struct {
 	// (0 means 4). 1 restores lockstep dispatch: one job on the wire per
 	// worker at a time. Output is byte-identical at any setting.
 	Pipeline int
-	// DisableCoalescing ships every job as its own frame instead of
-	// merging window-mates into batch frames. Batching never changes
-	// output, only the work per wire round-trip; disable it when the
-	// workers run with batch compilation off (-batch=false).
-	DisableCoalescing bool
 	// Launcher starts worker processes; nil means LocalLauncher (direct
 	// child processes). See CommandLauncher for ssh-style fleets.
 	Launcher WorkerLauncher
@@ -562,15 +557,13 @@ func (c *Coordinator) heartbeat(w *workerProc, silent, stale *int) bool {
 // false when the worker is unusable.
 func (c *Coordinator) dispatch(w *workerProc, first *call, free int) bool {
 	calls := []*call{first}
-	if !c.opts.DisableCoalescing {
-	gather:
-		for len(calls) < free {
-			select {
-			case cl := <-c.submit:
-				calls = append(calls, cl)
-			default:
-				break gather
-			}
+gather:
+	for len(calls) < free {
+		select {
+		case cl := <-c.submit:
+			calls = append(calls, cl)
+		default:
+			break gather
 		}
 	}
 	// Skip calls whose waiter already gave up; their RunJob has returned

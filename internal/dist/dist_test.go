@@ -180,9 +180,9 @@ func sameMeasurement(a, b eval.Measurement) bool {
 
 // TestCoordinatorMatchesLocalExecution: the same job list run through a
 // worker fleet and run in-process must produce identical measurements, in
-// identical (paper) order — at lockstep (Pipeline=1), at the default
-// window, and with coalescing disabled, since none of those settings may
-// affect output.
+// identical (paper) order — at lockstep (Pipeline=1) and at the default
+// window, where window-mates coalesce into batch frames, since neither
+// setting may affect output.
 func TestCoordinatorMatchesLocalExecution(t *testing.T) {
 	jobs := testJobs()
 	local, err := (*eval.Runner)(nil).Run(context.Background(), jobs)
@@ -195,7 +195,6 @@ func TestCoordinatorMatchesLocalExecution(t *testing.T) {
 	}{
 		{"lockstep", CoordinatorOptions{Pipeline: 1}},
 		{"pipelined", CoordinatorOptions{Pipeline: 4}},
-		{"pipelined-uncoalesced", CoordinatorOptions{Pipeline: 4, DisableCoalescing: true}},
 	}
 	for _, v := range variants {
 		t.Run(v.name, func(t *testing.T) {

@@ -62,8 +62,8 @@ type frame struct {
 // compile outlasting the heartbeat deadline would strand unread pings in
 // the pipe behind the next job frame and get a live worker reaped as
 // silent. Jobs still execute strictly in arrival order, one frame at a
-// time, and a batch frame compiles through the Runner's shared-prep batch
-// path, so the protocol needs no interleaving rules.
+// time, and a batch frame's members run in order through Runner.RunJobs,
+// so the protocol needs no interleaving rules.
 func ServeWorker(ctx context.Context, r io.Reader, w io.Writer, runner *eval.Runner) error {
 	lw := &lineWriter{out: bufio.NewWriter(w)}
 	frames := make(chan frame, 256)

@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"sync"
 	"testing"
+
+	"mussti/internal/core"
 )
 
 // TestRunnerJobHook: the per-job hook must see one outcome per RunJob call —
@@ -113,5 +115,43 @@ func TestRunKeyedDiskPersistence(t *testing.T) {
 	}
 	if hits, _ := dc.Stats(); hits != 1 {
 		t.Errorf("disk hits = %d, want 1", hits)
+	}
+}
+
+// TestRunJobHookFiresPerJob: a Run over an N-job same-circuit sweep reports
+// every job to the hook exactly once — each a compile, each under its own
+// cache key.
+func TestRunJobHookFiresPerJob(t *testing.T) {
+	r := NewRunner(4)
+	var mu sync.Mutex
+	seen := map[string]int{}
+	r.SetJobHook(func(o JobOutcome) {
+		mu.Lock()
+		defer mu.Unlock()
+		if o.Err != nil || o.Cached {
+			t.Errorf("outcome %q: cached=%v err=%v, want a clean compile", o.Key, o.Cached, o.Err)
+		}
+		seen[o.Key]++
+	})
+	const n = 6
+	jobs := make([]Job, n)
+	for i := range jobs {
+		cfg := core.NewCompileConfig(core.WithLookAhead(i + 1))
+		jobs[i] = Job{Spec: &CompileSpec{App: "GHZ_n32", Compiler: "mussti", Config: cfg}}
+	}
+	if _, err := r.Run(context.Background(), jobs); err != nil {
+		t.Fatal(err)
+	}
+	calls := 0
+	for _, c := range seen {
+		calls += c
+	}
+	if calls != n || len(seen) != n {
+		t.Fatalf("hook fired %d times over %d keys, want %d over %d", calls, len(seen), n, n)
+	}
+	for _, j := range jobs {
+		if key, _ := j.cacheKey(); seen[key] != 1 {
+			t.Errorf("job %q reported %d times, want 1", key, seen[key])
+		}
 	}
 }

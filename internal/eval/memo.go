@@ -130,88 +130,6 @@ func (mo *Memo) Do(ctx context.Context, key string, fn func() (Measurement, erro
 	}
 }
 
-// DoBatch is Do over a group of keys whose measurements can be computed
-// together (one CompileBatch over same-circuit variants). It claims every
-// key not already cached or in flight, consults the disk store per claimed
-// key, computes the rest in one batch(need) call (need holds indices into
-// keys), and returns the measurements in key order. Members whose keys were
-// already claimed — by another goroutine, or by a duplicate earlier in this
-// very batch — coalesce through Do's wait/retry path with the single-member
-// fallback one(i), so they inherit its cancellation and retry semantics.
-//
-// A failed batch releases its claimed keys instead of caching the group
-// error under each of them: a later caller retries each point individually
-// and surfaces its own precise outcome.
-func (mo *Memo) DoBatch(ctx context.Context, keys []string, batch func(need []int) ([]Measurement, error), one func(i int) (Measurement, error)) ([]Measurement, error) {
-	out := make([]Measurement, len(keys))
-	leads := make([]*memoEntry, len(keys)) // non-nil where this call leads the key
-	var waiters, need []int
-	mo.mu.Lock()
-	for i, key := range keys {
-		if _, ok := mo.entries[key]; ok {
-			waiters = append(waiters, i)
-			continue
-		}
-		e := &memoEntry{done: make(chan struct{})}
-		mo.entries[key] = e
-		leads[i] = e
-	}
-	mo.mu.Unlock()
-
-	for i, e := range leads {
-		if e == nil {
-			continue
-		}
-		if mo.disk != nil {
-			if m, ok := mo.disk.Get(keys[i]); ok {
-				e.m = m
-				close(e.done)
-				out[i] = m
-				continue
-			}
-		}
-		need = append(need, i)
-	}
-
-	if len(need) > 0 {
-		ms, err := batch(need)
-		if err != nil {
-			mo.mu.Lock()
-			for _, i := range need {
-				delete(mo.entries, keys[i])
-			}
-			mo.mu.Unlock()
-			for _, i := range need {
-				leads[i].retry = true
-				close(leads[i].done)
-			}
-			return nil, err
-		}
-		for x, i := range need {
-			mo.misses.Add(1)
-			e := leads[i]
-			e.m = ms[x]
-			close(e.done)
-			out[i] = ms[x]
-			if mo.disk != nil {
-				_ = mo.disk.Put(keys[i], ms[x])
-			}
-		}
-	}
-
-	// Every entry this call leads is closed by now, so waiting on other
-	// leaders cannot deadlock against us.
-	for _, i := range waiters {
-		i := i
-		m, err := mo.Do(ctx, keys[i], func() (Measurement, error) { return one(i) })
-		if err != nil {
-			return nil, err
-		}
-		out[i] = m
-	}
-	return out, nil
-}
-
 // cacheKey renders a Job's full configuration as a deterministic string
 // key, or ok=false when the job must not be cached (trace-recording runs,
 // jobs without a spec); see CompileSpec.CacheKey.

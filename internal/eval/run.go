@@ -118,8 +118,8 @@ func RunSpecContext(ctx context.Context, spec CompileSpec) (Measurement, error) 
 
 // MeasurementOf packages one compile Result as a Measurement row under the
 // given application name — the single conversion every harness path uses
-// (the per-job path, the batch path and the compilation service's ad-hoc
-// QASM circuits), so they can never drift.
+// (the per-job path and the compilation service's ad-hoc QASM circuits),
+// so they can never drift.
 func MeasurementOf(app string, comp core.Compiler, c *circuit.Circuit, res *core.Result) Measurement {
 	st := c.Stats()
 	m := res.Metrics

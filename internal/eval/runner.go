@@ -153,12 +153,8 @@ type Runner struct {
 	memo     *Memo
 	progress *progressSink
 	remote   RemoteExecutor
-	// batching, when true (the default), groups same-circuit jobs of a
-	// batch-capable compiler through CompileBatch so they share per-circuit
-	// prep; see planUnits. Output is byte-identical either way.
-	batching bool
-	// hook, when set, observes every job completed through the per-job path;
-	// see SetJobHook.
+	// hook, when set, observes every completed job and keyed compute; see
+	// SetJobHook.
 	hook func(JobOutcome)
 }
 
@@ -181,10 +177,8 @@ type JobOutcome struct {
 	Err error
 }
 
-// SetJobHook registers fn to observe every job completed through the
-// runner's per-job path: RunJob, RunKeyed, and each singleton unit Run and
-// RunJobs execute. (Members of a grouped batch unit do not report — the
-// experiment CLI's bulk sweeps are not service traffic.) fn is called
+// SetJobHook registers fn to observe every job the runner completes —
+// through Run, RunJobs, RunJob or RunKeyed — once per job. fn is called
 // synchronously from worker goroutines, so it must be cheap and safe for
 // concurrent use. Call it before the runner sees traffic.
 func (r *Runner) SetJobHook(fn func(JobOutcome)) { r.hook = fn }
@@ -223,7 +217,7 @@ func NewRunner(workers int) *Runner {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	return &Runner{workers: workers, sem: make(chan struct{}, workers), memo: NewMemo(), batching: true}
+	return &Runner{workers: workers, sem: make(chan struct{}, workers), memo: NewMemo()}
 }
 
 // Workers reports the pool size.
@@ -238,12 +232,6 @@ func (r *Runner) Workers() int {
 // compiles from scratch. Rendered output is byte-identical either way; only
 // the work performed changes.
 func (r *Runner) DisableCache() { r.memo = nil }
-
-// DisableBatching turns off same-circuit job grouping: every job compiles
-// through the per-job path with its own prep, as before batch compilation
-// existed. Rendered output is byte-identical either way; only the work
-// performed changes.
-func (r *Runner) DisableBatching() { r.batching = false }
 
 // CacheStats reports the measurement cache's hit and miss counters (misses
 // are actual compilations). Zeros when the cache is disabled or the runner
@@ -317,71 +305,101 @@ func (r *Runner) RunJob(ctx context.Context, j Job) (Measurement, error) {
 // member's measurement and error positionally — unlike Run, no job's
 // failure aborts its neighbours. It is the execution path for coalesced
 // wire batches: a distributed worker (internal/dist) receives several jobs
-// in one envelope and must answer each individually. Same-circuit members
-// group through the shared-prep batch path exactly as Run would group them,
-// behind the same memo and disk-cache layers; if a batch unit fails as a
-// whole, its members re-run individually so each reports its own error. A
+// in one envelope and must answer each individually. Each job runs through
+// the same path as RunJob, behind the same memo and disk-cache layers. A
 // nil runner executes the jobs bare, in order.
 func (r *Runner) RunJobs(ctx context.Context, jobs []Job) ([]Measurement, []error) {
 	ms := make([]Measurement, len(jobs))
 	errs := make([]error, len(jobs))
-	if r == nil {
-		for i, j := range jobs {
-			if err := ctx.Err(); err != nil {
-				errs[i] = err
-				continue
+	for i, j := range jobs {
+		if r == nil {
+			if errs[i] = ctx.Err(); errs[i] == nil {
+				ms[i], errs[i] = j.run(ctx)
 			}
-			ms[i], errs[i] = j.run(ctx)
+			continue
 		}
-		return ms, errs
-	}
-	var done atomic.Int64
-	units := r.planUnits(jobs)
-	for u, unit := range units {
 		// The semaphore bounds this runner's global concurrency budget; one
-		// slot per unit, exactly as Run's workers claim it. Cancellation
-		// while waiting fails every remaining unit — ctx stays done.
+		// slot per job, exactly as Run's workers claim it. Cancellation
+		// while waiting fails every remaining job — ctx stays done.
 		select {
 		case r.sem <- struct{}{}:
 		case <-ctx.Done():
-			for _, rest := range units[u:] {
-				for _, i := range rest {
-					errs[i] = ctx.Err()
-				}
+			for k := i; k < len(jobs); k++ {
+				errs[k] = ctx.Err()
 			}
 			return ms, errs
 		}
-		if len(unit) == 1 {
-			i := unit[0]
-			extra := 0
-			if r.remote == nil && parallelizable(jobs[i]) {
-				extra = r.borrowSlots(1)
-			}
-			ms[i], errs[i] = r.runJobN(ctx, jobs[i], 1+extra)
-			r.releaseSlots(extra)
-		} else {
-			extra := r.borrowSlots(len(unit) - 1)
-			if err := r.runBatchUnit(ctx, jobs, unit, 1+extra, ms, &done); err != nil {
-				// The unit failed as a whole (first-member attribution); fall
-				// back to per-job execution so every member reports its own
-				// result or error. Members the batch already computed hit the
-				// memo and cost nothing.
-				for _, i := range unit {
-					ms[i], errs[i] = r.runJobN(ctx, jobs[i], 1)
-				}
-			}
-			r.releaseSlots(extra)
-		}
+		ms[i], errs[i] = r.runBoosted(ctx, j)
 		<-r.sem
 	}
 	return ms, errs
 }
 
-// runJobN executes one job with the runner's cache, progress, remote and
-// hook layers applied, under an intra-compile parallelism bound:
-// parallelism is how many semaphore slots the caller holds for this job (1
-// plus any borrowed), which caps how many scheduling passes the compile may
-// run concurrently — so boosted compiles never oversubscribe the pool.
+// runBoosted runs one job while the caller holds one semaphore slot. A lone
+// SABRE compile can use one idle slot for its trivial-candidate pass — free
+// speedup when the pool has spare capacity, strictly bounded when it
+// doesn't.
+func (r *Runner) runBoosted(ctx context.Context, j Job) (Measurement, error) {
+	extra := 0
+	if r.remote == nil && parallelizable(j) {
+		extra = r.borrowSlots(1)
+	}
+	m, err := r.runJobN(ctx, j, 1+extra)
+	r.releaseSlots(extra)
+	return m, err
+}
+
+// parallelizable reports whether intra-compile parallelism can help this
+// job: the compiler must be core's ("mussti") and the config must run the
+// SABRE two-fold search — the only shape with concurrent candidate work.
+// The baselines ignore CompileConfig.Parallelism, so boosting them would
+// only hold a semaphore slot idle.
+func parallelizable(j Job) bool {
+	s, err := j.Resolve()
+	if err != nil || s.Compiler != "mussti" {
+		return false
+	}
+	comp, err := core.LookupCompiler(s.Compiler)
+	if err != nil {
+		return false
+	}
+	return s.config(comp).Mapping == core.MappingSABRE
+}
+
+// borrowSlots claims up to n extra semaphore slots without blocking,
+// returning how many it got. The caller already holds one slot; borrowed
+// slots widen one job's intra-compile parallelism, so boosted compiles use
+// idle capacity without ever oversubscribing the runner's global
+// GOMAXPROCS-bounded budget.
+func (r *Runner) borrowSlots(n int) int {
+	got := 0
+	for got < n {
+		select {
+		case r.sem <- struct{}{}: //mussti:allow=sempair the claimed slots are handed to the caller, who must return them via releaseSlots — sempair holds every caller to that
+			got++
+		default:
+			return got
+		}
+	}
+	return got
+}
+
+// releaseSlots returns borrowed slots to the pool.
+func (r *Runner) releaseSlots(n int) {
+	for ; n > 0; n-- {
+		// The receives drain tokens this goroutine itself placed via
+		// borrowSlots, so they never block and never oversubscribe.
+		//mussti:allow=sempair releases the caller's borrowSlots claim; the pair of primitives is the blessed unbalanced seam
+		<-r.sem //mussti:allow=leakcheck every token was placed by this goroutine via borrowSlots, so the receive never blocks
+	}
+}
+
+// runJobN executes one job with the runner's progress and remote layers
+// applied, and its cache and hook layers through RunKeyed, under an
+// intra-compile parallelism bound: parallelism is how many semaphore slots
+// the caller holds for this job (1 plus any borrowed), which caps how many
+// scheduling passes the compile may run concurrently — so boosted compiles
+// never oversubscribe the pool.
 func (r *Runner) runJobN(ctx context.Context, j Job, parallelism int) (Measurement, error) {
 	var prog *jobProgress
 	exec := j
@@ -400,29 +418,14 @@ func (r *Runner) runJobN(ctx context.Context, j Job, parallelism int) (Measureme
 	if r.remote != nil {
 		run = func(ctx context.Context) (Measurement, error) { return r.remote.RunJob(ctx, j) }
 	}
-	var start time.Time
-	if r.hook != nil {
-		start = time.Now() //mussti:allow=determinism job-latency telemetry for the hook, never measured output
-	}
-	var m Measurement
-	var err error
-	compiled := true
-	key, cacheable := j.cacheKey()
-	if cacheable && r.memo != nil {
-		compiled = false
-		m, err = r.memo.Do(ctx, key, func() (Measurement, error) {
-			compiled = true
-			return run(ctx)
-		})
-	} else {
-		key = ""
-		m, err = run(ctx)
-	}
+	key, _ := j.cacheKey() // "" for uncacheable jobs: RunKeyed then runs them bare
+	compiled := false
+	m, err := r.RunKeyed(ctx, key, func(ctx context.Context) (Measurement, error) {
+		compiled = true
+		return run(ctx)
+	})
 	if prog != nil && err == nil {
 		prog.finish(!compiled)
-	}
-	if r.hook != nil {
-		r.hook(JobOutcome{Key: key, Cached: !compiled, Wall: time.Since(start), Err: err}) //mussti:allow=determinism job-latency telemetry for the hook, never measured output
 	}
 	return m, err
 }
@@ -439,6 +442,9 @@ func (r *Runner) RunKeyed(ctx context.Context, key string, fn func(context.Conte
 	if r == nil {
 		return fn(ctx)
 	}
+	if r.memo == nil {
+		key = "" // a cache-disabled runner neither caches nor reports keys
+	}
 	var start time.Time
 	if r.hook != nil {
 		start = time.Now() //mussti:allow=determinism job-latency telemetry for the hook, never measured output
@@ -446,7 +452,7 @@ func (r *Runner) RunKeyed(ctx context.Context, key string, fn func(context.Conte
 	var m Measurement
 	var err error
 	compiled := true
-	if r.memo != nil && key != "" {
+	if key != "" {
 		compiled = false
 		m, err = r.memo.Do(ctx, key, func() (Measurement, error) {
 			compiled = true
@@ -478,10 +484,9 @@ func (r *Runner) Run(ctx context.Context, jobs []Job) ([]Measurement, error) {
 	defer cancel()
 	ms := make([]Measurement, len(jobs))
 	errs := make([]error, len(jobs)) // only real job errors; cancellations stay nil
-	units := r.planUnits(jobs)
 	var next, done atomic.Int64
 	var wg sync.WaitGroup
-	for w := 0; w < min(r.workers, len(units)); w++ {
+	for w := 0; w < min(r.workers, len(jobs)); w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -499,49 +504,23 @@ func (r *Runner) Run(ctx context.Context, jobs []Job) ([]Measurement, error) {
 					return
 				case r.sem <- struct{}{}:
 				}
-				u := int(next.Add(1)) - 1
-				if u >= len(units) {
+				i := int(next.Add(1)) - 1
+				if i >= len(jobs) {
 					<-r.sem
 					return
 				}
-				unit := units[u]
-				if len(unit) == 1 {
-					i := unit[0]
-					// A lone SABRE compile can use one idle slot for its
-					// trivial-candidate pass — free speedup when the pool
-					// has spare capacity, strictly bounded when it doesn't.
-					extra := 0
-					if r.remote == nil && parallelizable(jobs[i]) {
-						extra = r.borrowSlots(1)
-					}
-					m, err := r.runJobN(ctx, jobs[i], 1+extra)
-					r.releaseSlots(extra)
-					switch {
-					case err == nil:
-						ms[i] = m
-						done.Add(1)
-					case ctx.Err() != nil && errors.Is(err, ctx.Err()):
-						// The compile was interrupted by cancellation, not by
-						// a failure of its own; the final ctx.Err() return
-						// covers it.
-					default:
-						errs[i] = err
-						cancel() // abort in-flight jobs, skip unclaimed ones
-					}
-				} else {
-					// A batch unit holds this slot plus whatever is idle
-					// right now, so its internal worker group exactly fills
-					// the capacity it owns.
-					extra := r.borrowSlots(len(unit) - 1)
-					err := r.runBatchUnit(ctx, jobs, unit, 1+extra, ms, &done)
-					r.releaseSlots(extra)
-					switch {
-					case err == nil:
-					case ctx.Err() != nil && errors.Is(err, ctx.Err()):
-					default:
-						errs[unit[0]] = err
-						cancel()
-					}
+				m, err := r.runBoosted(ctx, jobs[i])
+				switch {
+				case err == nil:
+					ms[i] = m
+					done.Add(1)
+				case ctx.Err() != nil && errors.Is(err, ctx.Err()):
+					// The compile was interrupted by cancellation, not by
+					// a failure of its own; the final ctx.Err() return
+					// covers it.
+				default:
+					errs[i] = err
+					cancel() // abort in-flight jobs, skip unclaimed ones
 				}
 				<-r.sem
 			}

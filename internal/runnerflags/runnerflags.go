@@ -1,6 +1,6 @@
 // Package runnerflags is the one place that turns the runner command-line
 // flags shared by cmd/experiments and cmd/musstid into a measurement
-// Runner: it declares -j -cache -batch -cachedir -dist -pipeline -launcher
+// Runner: it declares -j -cache -cachedir -dist -pipeline -launcher
 // -worker, validates them, runs worker mode, and builds the Runner, its
 // DiskCache and the -dist Coordinator with its worker argv. Each command
 // keeps only its own flags.
@@ -27,7 +27,6 @@ import (
 type Flags struct {
 	Jobs     int
 	Cache    bool
-	Batch    bool
 	CacheDir string
 	Dist     string
 	Pipeline int
@@ -43,7 +42,6 @@ func Register(fs *flag.FlagSet) *Flags {
 	f := &Flags{}
 	fs.IntVar(&f.Jobs, "j", 0, "worker count (0 = GOMAXPROCS)")
 	fs.BoolVar(&f.Cache, "cache", true, "dedupe identical measurement points through the in-process measurement cache")
-	fs.BoolVar(&f.Batch, "batch", true, "group same-circuit jobs into shared-prep batch compiles; with -dist, also coalesce jobs into batched wire envelopes")
 	fs.StringVar(&f.CacheDir, "cachedir", "", "shared on-disk measurement cache directory: repeated runs, replicas and whole -dist fleets compile each point once, ever (needs -cache)")
 	fs.StringVar(&f.Dist, "dist", "", "compile in N spawned worker processes (\"auto\" sizes the fleet from NumCPU)")
 	fs.IntVar(&f.Pipeline, "pipeline", 0, "jobs kept in flight per -dist worker (0 = default window of 4; 1 = lockstep dispatch)")
@@ -87,7 +85,7 @@ func (f *Flags) FleetSize() int { return f.fleet }
 
 // ServeWorker runs worker mode: the process is one member of a -dist fleet.
 // It speaks the job-envelope protocol on stdin/stdout through a one-worker
-// Runner with the flags' cache, batching and disk cache, and returns when
+// Runner with the flags' cache and disk cache, and returns when
 // the coordinator closes the pipe or the process is interrupted. A non-nil
 // progress receives the runner's per-job tick lines.
 func (f *Flags) ServeWorker(progress io.Writer) error {
@@ -144,26 +142,17 @@ func (f *Flags) workerCommand(exe string) ([]string, *dist.CoordinatorOptions) {
 	if f.CacheDir != "" && f.Cache {
 		argv = append(argv, "-cachedir", f.CacheDir)
 	}
-	// -batch reaches the whole transport: with it off, the workers skip
-	// shared-prep batch compiles and the coordinator ships every job as its
-	// own envelope instead of coalescing window-mates.
-	if !f.Batch {
-		argv = append(argv, "-batch=false")
-	}
-	opts := &dist.CoordinatorOptions{Pipeline: f.Pipeline, DisableCoalescing: !f.Batch}
+	opts := &dist.CoordinatorOptions{Pipeline: f.Pipeline}
 	if f.Launcher != "" {
 		opts.Launcher = dist.CommandLauncher{Prefix: strings.Fields(f.Launcher)}
 	}
 	return argv, opts
 }
 
-// configure applies -cache, -batch and -cachedir to r.
+// configure applies -cache and -cachedir to r.
 func (f *Flags) configure(r *eval.Runner) error {
 	if !f.Cache {
 		r.DisableCache()
-	}
-	if !f.Batch {
-		r.DisableBatching()
 	}
 	if f.CacheDir == "" {
 		return nil

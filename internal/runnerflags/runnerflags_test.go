@@ -50,11 +50,11 @@ func TestValidateRejects(t *testing.T) {
 func TestValidateAccepts(t *testing.T) {
 	for _, args := range [][]string{
 		nil,
-		{"-j=3", "-cache=false", "-batch=false"},
+		{"-j=3", "-cache=false"},
 		{"-cachedir=d"},
 		{"-dist=2", "-pipeline=1", "-launcher=ssh host", "-cachedir=d"},
 		{"-dist=auto"},
-		{"-worker", "-cachedir=d", "-batch=false"},
+		{"-worker", "-cachedir=d"},
 	} {
 		if err := parse(t, args...).Validate(); err != nil {
 			t.Errorf("%q: %v", args, err)
@@ -84,13 +84,6 @@ func TestFleetConstruction(t *testing.T) {
 			name: "cache off drops cachedir",
 			args: []string{"-dist=3", "-cachedir=d", "-cache=false"},
 			argv: []string{"exe", "-worker"},
-		},
-		{
-			name:     "batch off reaches workers and coordinator",
-			args:     []string{"-dist=2", "-batch=false"},
-			validate: true,
-			argv:     []string{"exe", "-worker", "-batch=false"},
-			opts:     dist.CoordinatorOptions{DisableCoalescing: true},
 		},
 		{
 			name:     "launcher prefix",

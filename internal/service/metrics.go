@@ -26,15 +26,21 @@ type metrics struct {
 	cached    int64 // outcomes served by memo or disk without compiling
 	firstSeen time.Time
 
-	// ring holds the most recent job latencies for the quantiles and the
-	// trailing-window rate; 512 samples bound both memory and sort cost.
-	ring [512]sample
+	// ring holds the most recent successful job latencies for the
+	// quantiles; 512 samples bound both memory and sort cost.
+	ring [512]time.Duration
 	n    int // total samples ever; ring index is n % len(ring)
+
+	// perSec counts compiled outcomes per wall-clock second over the
+	// trailing rateWindowSec, one slot per second: slot sec%len holds second
+	// sec's count, stale once sec falls out of the window.
+	perSec [rateWindowSec]secCount
 }
 
-type sample struct {
-	wall time.Duration
-	at   time.Time
+// secCount is one second's compile count in the rate window.
+type secCount struct {
+	sec int64 // Unix second the count belongs to
+	n   int64
 }
 
 // observe ingests one job outcome from the runner hook.
@@ -45,15 +51,20 @@ func (m *metrics) observe(o eval.JobOutcome) {
 	switch {
 	case o.Err != nil:
 		m.failures++
+		return
 	case o.Cached:
 		m.cached++
 	default:
 		m.compiles++
+		sec := now.Unix()
+		slot := &m.perSec[sec%rateWindowSec]
+		if slot.sec != sec {
+			*slot = secCount{sec: sec}
+		}
+		slot.n++
 	}
-	if o.Err == nil {
-		m.ring[m.n%len(m.ring)] = sample{wall: o.Wall, at: now}
-		m.n++
-	}
+	m.ring[m.n%len(m.ring)] = o.Wall
+	m.n++
 }
 
 func (m *metrics) admitted() {
@@ -71,9 +82,9 @@ func (m *metrics) reject() {
 	m.mu.Unlock()
 }
 
-// rateWindow is the trailing window the jobs-per-second rate is computed
-// over.
-const rateWindow = 60 * time.Second
+// rateWindowSec is the trailing window, in seconds, the compile rate is
+// computed over.
+const rateWindowSec = 60
 
 // MetricsSnapshot is the GET /metrics response body.
 type MetricsSnapshot struct {
@@ -85,8 +96,8 @@ type MetricsSnapshot struct {
 	Compiles    int64 `json:"compiles"`
 	CacheServed int64 `json:"cache_served"`
 	Failures    int64 `json:"failures"`
-	// CompilesPerSec is the successful-job completion rate over the
-	// trailing 60s window.
+	// CompilesPerSec is the rate of jobs that actually compiled (cache
+	// hits and failures excluded) over the trailing 60s window.
 	CompilesPerSec float64 `json:"compiles_per_sec"`
 	// InFlight and Queued are instantaneous admission gauges.
 	InFlight int64 `json:"in_flight"`
@@ -143,29 +154,27 @@ func (m *metrics) snapshot() MetricsSnapshot {
 		CacheServed: m.cached,
 		Failures:    m.failures,
 	}
-	k := min(m.n, len(m.ring))
-	if k == 0 {
-		return snap
-	}
-	walls := make([]time.Duration, 0, k)
-	recent := 0
-	for _, s := range m.ring[:k] {
-		walls = append(walls, s.wall)
-		if now.Sub(s.at) <= rateWindow {
-			recent++
+	var recent int64
+	for _, c := range m.perSec {
+		if age := now.Unix() - c.sec; age >= 0 && age < rateWindowSec {
+			recent += c.n
 		}
 	}
-	sort.Slice(walls, func(i, j int) bool { return walls[i] < walls[j] })
-	snap.P50MS = float64(quantile(walls, 0.50)) / float64(time.Millisecond)
-	snap.P99MS = float64(quantile(walls, 0.99)) / float64(time.Millisecond)
-	// The window may be truncated by ring eviction (recent == k with more
-	// history) or by service youth; clamp the divisor to the observed span
-	// so early rates are not diluted by an empty past.
-	window := rateWindow
+	// A young service has no full window behind it; clamp the divisor to
+	// the observed span so early rates are not diluted by an empty past.
+	window := rateWindowSec * time.Second
 	if alive := now.Sub(m.firstSeen); !m.firstSeen.IsZero() && alive < window && alive > 0 {
 		window = alive
 	}
 	snap.CompilesPerSec = float64(recent) / window.Seconds()
+	k := min(m.n, len(m.ring))
+	if k == 0 {
+		return snap
+	}
+	walls := append([]time.Duration(nil), m.ring[:k]...)
+	sort.Slice(walls, func(i, j int) bool { return walls[i] < walls[j] })
+	snap.P50MS = float64(quantile(walls, 0.50)) / float64(time.Millisecond)
+	snap.P99MS = float64(quantile(walls, 0.99)) / float64(time.Millisecond)
 	return snap
 }
 

@@ -79,6 +79,28 @@ type task struct {
 	run   func(ctx context.Context, obs core.Observer) (eval.Measurement, error)
 }
 
+// maxSize bounds every size a request can name: circuit qubits and each
+// device-shape knob. It sits well above the paper's largest circuit (300
+// qubits) and stops one request from making resolution generate, parse or
+// size a device for an arbitrarily large machine.
+const maxSize = 512
+
+// size is one named size of a request, checked against maxSize.
+type size struct {
+	what string
+	n    int
+}
+
+// checkSizes refuses the first size above maxSize.
+func checkSizes(sizes ...size) error {
+	for _, s := range sizes {
+		if s.n > maxSize {
+			return badRequestf("%s %d exceeds the service limit of %d", s.what, s.n, maxSize)
+		}
+	}
+	return nil
+}
+
 // badRequest marks resolution errors the client caused (HTTP 400), as
 // opposed to compile failures (HTTP 500).
 type badRequest struct{ err error }
@@ -137,6 +159,10 @@ func (r *archRequest) config() (arch.Config, error) {
 	if r.Modules <= 0 {
 		return arch.Config{}, badRequestf("arch.modules must be positive (omit arch entirely for the paper default)")
 	}
+	if err := checkSizes(size{"arch.modules", r.Modules}, size{"arch.trap_capacity", r.TrapCapacity},
+		size{"arch.optical_capacity", r.OpticalCapacity}, size{"arch.optical_zones", r.OpticalZones}); err != nil {
+		return arch.Config{}, err
+	}
 	cfg := arch.DefaultConfig(0)
 	cfg.Modules = r.Modules
 	if r.TrapCapacity > 0 {
@@ -168,6 +194,10 @@ func (s *Server) resolve(req *compileRequest) (task, error) {
 	}
 	var grid *arch.Grid
 	if req.Grid != nil {
+		if err := checkSizes(size{"grid.rows", req.Grid.Rows}, size{"grid.cols", req.Grid.Cols},
+			size{"grid.capacity", req.Grid.Capacity}); err != nil {
+			return task{}, err
+		}
 		grid, err = arch.NewGrid(req.Grid.Rows, req.Grid.Cols, req.Grid.Capacity)
 		if err != nil {
 			return task{}, badRequest{err}
@@ -190,6 +220,13 @@ func (s *Server) resolve(req *compileRequest) (task, error) {
 // singleflight, disk cache and (when configured) dist fleet as the
 // experiment harness — identical requests across clients compile once.
 func (s *Server) resolveApp(req *compileRequest, name string, comp core.Compiler, grid *arch.Grid) (task, error) {
+	n, err := bench.Qubits(req.App)
+	if err != nil {
+		return task{}, badRequest{err}
+	}
+	if err := checkSizes(size{"qubit count", n}); err != nil {
+		return task{}, err
+	}
 	if _, err := bench.ByName(req.App); err != nil {
 		return task{}, badRequest{err}
 	}
@@ -235,6 +272,9 @@ func (s *Server) resolveQASM(req *compileRequest, name string, comp core.Compile
 	c, err := circuit.ParseQASM(label, strings.NewReader(req.QASM))
 	if err != nil {
 		return task{}, badRequest{err}
+	}
+	if err := checkSizes(size{"qubit count", c.NumQubits}); err != nil {
+		return task{}, err
 	}
 	if req.Lower {
 		c = circuit.OptimizeOneQubit(circuit.LowerToNative(c))

@@ -30,6 +30,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"sync/atomic"
 	"time"
@@ -160,16 +161,26 @@ func httpError(w http.ResponseWriter, status int, err error) {
 // well under this.
 const maxBodyBytes = 8 << 20
 
+// decodeCompileRequest reads one /v1/compile JSON body. Unknown fields are
+// an error, so a misspelt knob never silently falls back to its default.
+func decodeCompileRequest(r io.Reader) (compileRequest, error) {
+	var req compileRequest
+	dec := json.NewDecoder(r)
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&req); err != nil {
+		return compileRequest{}, fmt.Errorf("decoding request: %w", err)
+	}
+	return req, nil
+}
+
 // handleCompile decodes, resolves, admits and runs one compile request.
 // Resolution happens before admission — malformed requests never hold a
 // compile slot — and the whole compile runs under the request context, so a
 // client disconnect cancels it mid-flight.
 func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
-	var req compileRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		httpError(w, http.StatusBadRequest, fmt.Errorf("decoding request: %w", err))
+	req, err := decodeCompileRequest(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+	if err != nil {
+		httpError(w, http.StatusBadRequest, err)
 		return
 	}
 	t, err := s.resolve(&req)

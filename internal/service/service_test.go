@@ -420,24 +420,31 @@ cx q[1],q[2];`
 	}
 }
 
+// badRequests are /v1/compile bodies the service must refuse with a 400;
+// FuzzCompileRequest seeds its corpus from them.
+var badRequests = []struct {
+	name, body string
+}{
+	{"empty", `{}`},
+	{"both sources", `{"app":"GHZ_n4","qasm":"OPENQASM 2.0;"}`},
+	{"unknown compiler", `{"app":"GHZ_n4","compiler":"nope"}`},
+	{"unknown app", `{"app":"NOPE_n4"}`},
+	{"unknown field", `{"app":"GHZ_n4","bogus":1}`},
+	{"bad mapping", `{"app":"GHZ_n4","config":{"mapping":"psychic"}}`},
+	{"arch and grid", `{"app":"GHZ_n4","arch":{"modules":4},"grid":{"rows":2,"cols":2,"capacity":4}}`},
+	{"partial arch", `{"app":"GHZ_n4","arch":{"trap_capacity":8}}`},
+	{"bad qasm", `{"qasm":"qreg q[2]; banana q[0];"}`},
+	{"oversized app", `{"app":"GHZ_n100000"}`},
+	{"oversized qasm", `{"qasm":"qreg q[100000000]; h q[0];"}`},
+	{"oversized arch", `{"app":"GHZ_n4","arch":{"modules":100000000}}`},
+	{"oversized grid", `{"app":"GHZ_n4","grid":{"rows":100000,"cols":100000,"capacity":8}}`},
+}
+
 // TestBadRequests: malformed requests are 400s with a JSON error body, and
 // never touch admission.
 func TestBadRequests(t *testing.T) {
 	_, ts := newTestServer(t, Options{})
-	cases := []struct {
-		name, body string
-	}{
-		{"empty", `{}`},
-		{"both sources", `{"app":"GHZ_n4","qasm":"OPENQASM 2.0;"}`},
-		{"unknown compiler", `{"app":"GHZ_n4","compiler":"nope"}`},
-		{"unknown app", `{"app":"NOPE_n4"}`},
-		{"unknown field", `{"app":"GHZ_n4","bogus":1}`},
-		{"bad mapping", `{"app":"GHZ_n4","config":{"mapping":"psychic"}}`},
-		{"arch and grid", `{"app":"GHZ_n4","arch":{"modules":4},"grid":{"rows":2,"cols":2,"capacity":4}}`},
-		{"partial arch", `{"app":"GHZ_n4","arch":{"trap_capacity":8}}`},
-		{"bad qasm", `{"qasm":"qreg q[2]; banana q[0];"}`},
-	}
-	for _, tc := range cases {
+	for _, tc := range badRequests {
 		t.Run(tc.name, func(t *testing.T) {
 			resp, done := postCompile(t, ts.URL, tc.body)
 			defer done()

@@ -270,40 +270,6 @@ const (
 // changes the schedule.
 type Observer = core.Observer
 
-// Batch compilation: many (target, config) variants of one circuit share
-// the per-circuit preparation and compile on a bounded worker group.
-type (
-	// BatchVariant is one (target, config) pair of a CompileBatch; a nil
-	// Config means the paper's defaults, as with Compiler.Compile.
-	BatchVariant = core.BatchVariant
-	// BatchCompiler is optionally implemented by compilers that support
-	// batch compilation; the registry's "mussti" entry implements it.
-	BatchCompiler = core.BatchCompiler
-)
-
-// CompileBatch compiles one circuit against many (target, config) variants
-// with MUSS-TI, building the per-circuit preparation (dependency DAG,
-// per-qubit gate lists, next-use tables) once and running the variants on a
-// worker group bounded by GOMAXPROCS. results[i] corresponds to variants[i]
-// and is byte-identical to a standalone Compile of that variant (modulo the
-// wall-clock CompileTime), regardless of worker count:
-//
-//	variants := []mussti.BatchVariant{
-//		{Target: dev, Config: nil},                                   // paper defaults
-//		{Target: dev, Config: mussti.NewCompileConfig(mussti.WithLookAhead(4))},
-//	}
-//	results, err := mussti.CompileBatch(ctx, c, variants)
-func CompileBatch(ctx context.Context, c *Circuit, variants []BatchVariant) ([]*Result, error) {
-	return core.CompileBatch(ctx, c, variants)
-}
-
-// CompileBatchBounded is CompileBatch with an explicit worker bound
-// (workers <= 0 means GOMAXPROCS) — for callers that already own a worker
-// pool and must not oversubscribe it.
-func CompileBatchBounded(ctx context.Context, c *Circuit, variants []BatchVariant, workers int) ([]*Result, error) {
-	return core.CompileBatchBounded(ctx, c, variants, workers)
-}
-
 // ScheduleOp is one timed entry of a recorded schedule.
 type ScheduleOp = sim.Op
 
