@@ -3,8 +3,6 @@ package baseline
 import (
 	"fmt"
 	"math"
-
-	"mussti/internal/dag"
 )
 
 // hop shuttles q one grid step to the adjacent trap `next`, evicting an ion
@@ -161,25 +159,19 @@ func (r *gridRouter) bestMeetingTrap(a, b int) int {
 }
 
 // futurePartnerTraps returns the traps of a's partners within the next
-// LookAhead DAG layers, followed by b's. It deliberately keeps the two
-// window scans of the pre-refactor per-operand calls: merging them into one
-// scan would interleave the partners and change the floating-point
-// summation order of bestMeetingTrap's cost (bit-identical schedules are
-// this package's golden-output contract), so only the per-call allocation
-// was removed. The result is the router's reused scratch buffer, valid
-// until the next routed gate.
+// LookAhead DAG layers, in gate order, followed by b's, each read from the
+// graph's per-qubit window. The two lists stay apart: interleaving the
+// partners would change the floating-point summation order of
+// bestMeetingTrap's cost (bit-identical schedules are this package's
+// golden-output contract). The result is the router's reused scratch
+// buffer, valid until the next routed gate.
 func (r *gridRouter) futurePartnerTraps(a, b int) []int {
 	traps := r.trapScratch[:0]
-	r.g.WalkAhead(r.lookAhead, func(_ int, n *dag.Node) {
-		if p := n.Gate.Other(a); p >= 0 {
-			traps = append(traps, r.eng.ZoneOf(p))
+	for _, q := range [2]int{a, b} {
+		for _, id := range r.g.QubitWindow(q, r.lookAhead) {
+			traps = append(traps, r.eng.ZoneOf(r.g.Nodes[id].Gate.Other(q)))
 		}
-	})
-	r.g.WalkAhead(r.lookAhead, func(_ int, n *dag.Node) {
-		if p := n.Gate.Other(b); p >= 0 {
-			traps = append(traps, r.eng.ZoneOf(p))
-		}
-	})
+	}
 	r.trapScratch = traps
 	return traps
 }

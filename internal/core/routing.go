@@ -5,7 +5,6 @@ import (
 	"math"
 
 	"mussti/internal/arch"
-	"mussti/internal/dag"
 )
 
 // route brings the operands of DAG node id into an executable configuration
@@ -76,10 +75,13 @@ type attraction struct {
 	weight float64
 }
 
-// futureAttraction scans the look-ahead window once and returns, for the
-// two routed qubits, where their upcoming partners sit. Weights decay with
-// DAG layer so imminent gates dominate. The returned slice is the
-// scheduler's reused scratch buffer — valid until the next routed gate.
+// futureAttraction returns, for the two routed qubits, where their upcoming
+// partners within the look-ahead window sit. Weights decay with DAG layer so
+// imminent gates dominate. It visits the window gates of a and b in one
+// ascending-ID merge of their QubitWindow chains, the shared gate once, so
+// the attractions come out in the order a whole-window scan would produce
+// them and attractionCost sums them in that order. The returned slice is
+// the scheduler's reused scratch buffer — valid until the next routed gate.
 //
 //mussti:hotpath
 func (s *scheduler) futureAttraction(a, b int) []attraction {
@@ -87,8 +89,19 @@ func (s *scheduler) futureAttraction(a, b int) []attraction {
 		return nil
 	}
 	out := s.attractScratch[:0]
-	//mussti:allow=hotalloc visit closure pinned non-escaping by BenchmarkSchedulerPassReuse allocs/op
-	s.g.WalkAhead(s.opts.LookAhead, func(layer int, n *dag.Node) {
+	wa := s.g.QubitWindow(a, s.opts.LookAhead)
+	wb := s.g.QubitWindow(b, s.opts.LookAhead)
+	for len(wa) > 0 || len(wb) > 0 {
+		var id int
+		switch {
+		case len(wb) == 0 || len(wa) > 0 && wa[0] < wb[0]:
+			id, wa = wa[0], wa[1:]
+		case len(wa) == 0 || wb[0] < wa[0]:
+			id, wb = wb[0], wb[1:]
+		default: // a gate on both a and b sits in both chains
+			id, wa, wb = wa[0], wa[1:], wb[1:]
+		}
+		n := &s.g.Nodes[id]
 		for _, q := range [2]int{a, b} {
 			p := n.Gate.Other(q)
 			if p < 0 || p == a || p == b {
@@ -106,9 +119,9 @@ func (s *scheduler) futureAttraction(a, b int) []attraction {
 				}
 				target = opt[0]
 			}
-			out = append(out, attraction{qubit: q, target: target, weight: 1 / float64(1+layer)})
+			out = append(out, attraction{qubit: q, target: target, weight: 1 / float64(1+s.g.WindowLayer(id))})
 		}
-	})
+	}
 	s.attractScratch = out
 	return out
 }

@@ -54,10 +54,8 @@ type scheduler struct {
 	wrowScratch []int
 
 	// Multi-qubit weight-table scratch for pickSwapPartner, reused across
-	// SWAP-insertion checks: wtRowOf[q] is 1+q's row in the current query
-	// (0 = absent), wtRows the flat row backing, residentScratch the
-	// optical-zone candidate list. See weightTable/weightAt/clearWeightTable.
-	wtRowOf         []int32
+	// SWAP-insertion checks: wtRows is the flat row backing of weightTable,
+	// residentScratch the optical-zone candidate list.
 	wtRows          []int
 	residentScratch []int
 }

@@ -4,64 +4,28 @@ import (
 	"math"
 
 	"mussti/internal/arch"
-	"mussti/internal/dag"
 )
 
 // weightTable computes the §3.3 weight table W(q, c) for every qubit in qs
-// at once, scanning the look-ahead window a single time, into the
-// scheduler's reused scratch (wtRowOf/wtRows). Entry (q_i, c_j) counts
-// gates within the first k remaining DAG layers that pair q_i with a qubit
-// currently mapped to module c_j. Read entries with weightAt and release
-// the query with clearWeightTable before the next one; until then the
-// scratch rows stay valid. Replacing the old per-call map[int][]int, this
-// runs allocation-free in steady state — pickSwapPartner calls it on every
-// SWAP-insertion check.
+// into the scheduler's reused scratch: row i of the returned flat table
+// (len(s.d.Modules) entries from i*len(s.d.Modules)) counts, per module c,
+// the gates within the first k remaining DAG layers that pair qs[i] with a
+// qubit currently mapped to c. The table is valid until the next
+// weightTable call. pickSwapPartner calls it on every SWAP-insertion check,
+// so it runs allocation-free in steady state.
 //
 //mussti:hotpath
-func (s *scheduler) weightTable(qs []int) {
+func (s *scheduler) weightTable(qs []int) []int {
 	nm := len(s.d.Modules)
-	if s.wtRowOf == nil {
-		s.wtRowOf = make([]int32, s.c.NumQubits) //mussti:allow=hotalloc one-time lazy scratch sizing
-	}
 	if need := len(qs) * nm; cap(s.wtRows) < need {
 		s.wtRows = make([]int, need) //mussti:allow=hotalloc scratch grows to the largest query, then stays
 	}
 	rows := s.wtRows[:len(qs)*nm]
-	for i := range rows {
-		rows[i] = 0
-	}
+	clear(rows)
 	for i, q := range qs {
-		s.wtRowOf[q] = int32(i + 1)
+		s.addWeights(rows[i*nm:(i+1)*nm], q)
 	}
-	//mussti:allow=hotalloc visit closure pinned non-escaping by BenchmarkSchedulerPassReuse allocs/op
-	s.g.WalkAhead(s.opts.LookAhead, func(_ int, n *dag.Node) {
-		a, b := n.Gate.Qubits[0], n.Gate.Qubits[1]
-		if r := s.wtRowOf[a]; r > 0 {
-			rows[int(r-1)*nm+s.moduleOf(b)]++
-		}
-		if r := s.wtRowOf[b]; r > 0 {
-			rows[int(r-1)*nm+s.moduleOf(a)]++
-		}
-	})
-	s.wtRows = rows
-}
-
-// weightAt reads W(q, cj) from the scratch filled by the last weightTable
-// call; q must have been in that call's query set.
-//
-//mussti:hotpath
-func (s *scheduler) weightAt(q, cj int) int {
-	return s.wtRows[(int(s.wtRowOf[q])-1)*len(s.d.Modules)+cj]
-}
-
-// clearWeightTable releases the query rows of qs so the next weightTable
-// call starts clean. O(len(qs)), not O(NumQubits).
-//
-//mussti:hotpath
-func (s *scheduler) clearWeightTable(qs []int) {
-	for _, q := range qs {
-		s.wtRowOf[q] = 0
-	}
+	return rows
 }
 
 // weightRow is weightTable for a single qubit, filling the scheduler's
@@ -75,16 +39,19 @@ func (s *scheduler) weightRow(q int) []int {
 		s.wrowScratch = make([]int, len(s.d.Modules)) //mussti:allow=hotalloc one-time lazy scratch sizing
 	}
 	row := s.wrowScratch[:len(s.d.Modules)]
-	for i := range row {
-		row[i] = 0
-	}
-	//mussti:allow=hotalloc visit closure pinned non-escaping by BenchmarkSchedulerPassReuse allocs/op
-	s.g.WalkAhead(s.opts.LookAhead, func(_ int, n *dag.Node) {
-		if p := n.Gate.Other(q); p >= 0 {
-			row[s.moduleOf(p)]++
-		}
-	})
+	clear(row)
+	s.addWeights(row, q)
 	return row
+}
+
+// addWeights adds one to row[c] for every gate of q's look-ahead window
+// whose partner sits on module c.
+//
+//mussti:hotpath
+func (s *scheduler) addWeights(row []int, q int) {
+	for _, id := range s.g.QubitWindow(q, s.opts.LookAhead) {
+		row[s.moduleOf(s.g.Nodes[id].Gate.Other(q))]++
+	}
 }
 
 //mussti:hotpath
@@ -181,16 +148,15 @@ func (s *scheduler) pickSwapPartner(cj, exclude int) int {
 	if len(residents) == 0 {
 		return -1
 	}
-	s.weightTable(residents)
+	w, nm := s.weightTable(residents), len(s.d.Modules)
 	best, bestUsed := -1, int64(math.MaxInt64)
-	for _, q := range residents {
-		if s.weightAt(q, cj) != 0 {
+	for i, q := range residents {
+		if w[i*nm+cj] != 0 {
 			continue
 		}
 		if s.lastUsed[q] < bestUsed {
 			best, bestUsed = q, s.lastUsed[q]
 		}
 	}
-	s.clearWeightTable(residents)
 	return best
 }

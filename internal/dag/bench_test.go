@@ -55,3 +55,34 @@ func BenchmarkWalkAhead(b *testing.B) {
 	}
 	_ = sink
 }
+
+// BenchmarkWindowQuery measures the per-qubit look-ahead query (k=8) the
+// schedulers make, over the second half of a drain (BenchmarkWalkAhead's
+// starting point). One op is one Execute, which invalidates the window, then
+// one query on each qubit: a window fill plus 64 chain walks. When the graph
+// drains, it is reset and run back to the halfway point off the clock.
+func BenchmarkWindowQuery(b *testing.B) {
+	g := benchGraph(3)
+	half := func() {
+		g.Reset()
+		for g.Remaining() > len(g.Nodes)/2 {
+			g.Execute(g.Frontier()[0])
+		}
+	}
+	half()
+	b.ReportAllocs()
+	b.ResetTimer()
+	sink := 0
+	for i := 0; i < b.N; i++ {
+		if g.Done() {
+			b.StopTimer()
+			half()
+			b.StartTimer()
+		}
+		g.Execute(g.Frontier()[0])
+		for q := range g.ByQubit {
+			sink += len(g.QubitWindow(q, 8))
+		}
+	}
+	_ = sink
+}

@@ -14,6 +14,7 @@ package dag
 
 import (
 	"fmt"
+	"slices"
 
 	"mussti/internal/circuit"
 )
@@ -39,8 +40,8 @@ type Graph struct {
 	ByQubit [][]int
 
 	// indegree[id] counts the *unexecuted* predecessors of id; it reaches 0
-	// exactly when id joins the frontier. WalkAhead reads it as the number
-	// of in-window relaxations a node needs before its layer is final.
+	// exactly when id joins the frontier. The window fill reads it as the
+	// number of in-window relaxations a node needs before its layer is final.
 	indegree []int
 	executed []bool
 	// frontier holds the currently executable node IDs in ascending order.
@@ -56,15 +57,27 @@ type Graph struct {
 	// ever looks at IDs under the watermark again.
 	watermark int
 
-	// WalkAhead scratch, reused across calls so the steady state allocates
-	// nothing. waMark is an epoch stamp: entries of waDepth/waSeen are valid
-	// only where waMark equals the current generation, which makes clearing
-	// between calls O(touched) instead of O(nodes).
+	// cursor[q] counts the executed nodes of q's ByQubit chain. Consecutive
+	// gates on a qubit are DAG edges, so the executed ones are always a
+	// prefix of the chain and ByQubit[q][cursor[q]:] is q's remaining work.
+	// Execute advances it; QubitWindow reads from it.
+	cursor []int32
+
+	// Look-ahead window scratch, reused across calls so the steady state
+	// allocates nothing. waMark is an epoch stamp: entries of waDepth/waSeen
+	// are valid only where waMark equals the current generation, which makes
+	// clearing between fills O(touched) instead of O(nodes). A fill leaves
+	// waSeen at windowMember on exactly the nodes of the window, waDepth at
+	// their remaining layers and waQueue holding them in release order.
+	// winK is the k of the window the scratch holds, or 0 once Execute or
+	// Reset has changed the graph since that fill: QubitWindow refills only
+	// then, so every query between two Executes shares one fill.
 	waDepth []int32
 	waSeen  []int32
 	waMark  []uint32
 	waGen   uint32
-	waHeap  []int32
+	waQueue []int32
+	winK    int
 }
 
 // Build constructs the graph from a circuit. Only two-qubit gates become
@@ -134,7 +147,10 @@ func (g *Graph) reset() {
 		g.waDepth = make([]int32, n)
 		g.waSeen = make([]int32, n)
 		g.waMark = make([]uint32, n)
+		g.cursor = make([]int32, len(g.ByQubit))
 	}
+	clear(g.cursor)
+	g.winK = 0
 	g.frontier = g.frontier[:0]
 	g.nLeft = len(g.Nodes)
 	g.watermark = 0
@@ -153,7 +169,8 @@ func (g *Graph) reset() {
 // a single Graph across the SABRE forward probe and every candidate
 // production pass (core's per-circuit prep), so Reset runs on the compile
 // hot path — it must restore every piece of execution state (indegree,
-// executed flags, frontier, watermark) and nothing else.
+// executed flags, frontier, watermark, chain cursors, window validity) and
+// nothing else.
 func (g *Graph) Reset() { g.reset() }
 
 // Clone returns a graph that shares g's immutable structure (Nodes, ByQubit
@@ -220,6 +237,11 @@ func (g *Graph) Execute(id int) {
 	g.frontier = append(g.frontier[:pos], g.frontier[pos+1:]...)
 	g.executed[id] = true
 	g.nLeft--
+	g.winK = 0
+	// Gate.Operands would allocate; the two fixed slots name the same
+	// qubits, and a chain holding id twice is advanced twice.
+	g.cursor[g.Nodes[id].Gate.Qubits[0]]++
+	g.cursor[g.Nodes[id].Gate.Qubits[1]]++
 	for g.watermark < len(g.Nodes) && g.executed[g.watermark] {
 		g.watermark++
 	}
@@ -274,7 +296,7 @@ func (g *Graph) frontierInsert(id int) {
 
 // Layers returns the ASAP layering of the graph: layer 0 is the initial
 // frontier, layer i+1 the nodes whose longest path from a source has length
-// i+1. Used by tests and by the look-ahead weight table.
+// i+1. Used by tests and by CriticalPathLen.
 func (g *Graph) Layers() [][]int {
 	depth := make([]int, len(g.Nodes))
 	var layers [][]int
@@ -294,118 +316,123 @@ func (g *Graph) Layers() [][]int {
 	return layers
 }
 
+// windowMember is the waSeen value of a node the current fill placed in the
+// window. Ordinary waSeen values count relaxations and are never negative.
+const windowMember = -1
+
+// fillWindow computes the first k >= 1 layers of the remaining graph (layer
+// = longest unexecuted-predecessor path) into the window scratch.
+//
+// The fill is O(window): it expands the dependency graph outwards from the
+// current frontier (every unexecuted node is reachable from it through
+// unexecuted predecessors) and stops expanding at layer k, so nodes beyond
+// the window are never touched. A node's layer is final once all its
+// unexecuted predecessors have been relaxed (indegree tracks exactly that
+// count); nodes are released into a FIFO at that moment, and only window
+// members are released. Membership and layers do not depend on release
+// order. A node kept back by an out-of-window predecessor is itself beyond
+// the window (its layer exceeds the predecessor's) and is never released.
+//
+//mussti:hotpath
+func (g *Graph) fillWindow(k int) {
+	g.waGen++
+	if g.waGen == 0 { // epoch counter wrapped: invalidate all stale marks
+		clear(g.waMark)
+		g.waGen = 1
+	}
+	queue := g.waQueue[:0]
+	for _, id := range g.frontier {
+		g.waMark[id] = g.waGen
+		g.waDepth[id] = 0
+		g.waSeen[id] = windowMember
+		queue = append(queue, int32(id))
+	}
+	for head := 0; head < len(queue); head++ {
+		id := queue[head]
+		d := g.waDepth[id] + 1
+		if int(d) >= k {
+			// Successors lie beyond the window, so the whole subtree is
+			// pruned by simply not expanding it.
+			continue
+		}
+		for _, s := range g.Nodes[id].Succ {
+			if g.waMark[s] != g.waGen {
+				g.waMark[s] = g.waGen
+				g.waDepth[s] = d
+				g.waSeen[s] = 1
+			} else {
+				if d > g.waDepth[s] {
+					g.waDepth[s] = d
+				}
+				g.waSeen[s]++
+			}
+			if int(g.waSeen[s]) == g.indegree[s] {
+				g.waSeen[s] = windowMember
+				queue = append(queue, int32(s))
+			}
+		}
+	}
+	g.waQueue = queue
+	g.winK = k
+}
+
+// QubitWindow returns the unexecuted gates on qubit q within the first k
+// layers of the remaining graph, in ascending node-ID order — the nodes
+// WalkAhead(k, ...) would visit that touch q. This is the per-qubit query
+// behind the look-ahead scoring of §3.2 routing and §3.3 SWAP insertion.
+//
+// The window is filled at most once per graph state and k: later queries
+// between two Executes reuse it. Consecutive gates on a qubit are DAG
+// edges, so layers rise strictly along q's remaining ByQubit chain and the
+// answer is a prefix of that chain: the walk stops at the first gate
+// outside the window. The result aliases ByQubit and must not be modified;
+// it stays valid across Execute. WindowLayer reads the layers of its
+// members until the next Execute, Reset or fill for another k.
+//
+//mussti:hotpath
+func (g *Graph) QubitWindow(q, k int) []int {
+	if k <= 0 {
+		return nil
+	}
+	if g.winK != k {
+		g.fillWindow(k)
+	}
+	chain := g.ByQubit[q][g.cursor[q]:]
+	n := 0
+	for n < len(chain) && g.waMark[chain[n]] == g.waGen && g.waSeen[chain[n]] == windowMember {
+		n++
+	}
+	return chain[:n:n]
+}
+
+// WindowLayer returns the remaining-graph layer of id, a member of the
+// window the last QubitWindow call answered from.
+//
+//mussti:hotpath
+//mussti:inline
+func (g *Graph) WindowLayer(id int) int { return int(g.waDepth[id]) }
+
 // WalkAhead visits unexecuted nodes in the first k layers *of the remaining
 // graph* (layer = longest unexecuted-predecessor path), calling visit for
-// each with its remaining-layer index, in ascending node-ID order. This
-// implements the "first k layers of the DAG" window that the SWAP-insertion
-// weight table scans (§3.3).
+// each with its remaining-layer index, in ascending node-ID order. This is
+// the whole "first k layers of the DAG" window of §3.3; the schedulers ask
+// the per-qubit QubitWindow instead.
 //
-// The traversal is O(window): it expands the dependency graph outwards from
-// the current frontier (every unexecuted node is reachable from it through
-// unexecuted predecessors, and none sits below the FirstUnexecuted
-// watermark) and stops expanding at layer k, so nodes beyond the window are
-// never touched — not even the already-executed prefix the pre-watermark
-// implementation rescanned from ID 0 on every call. All scratch state lives
-// on the Graph and is epoch-cleared, so steady-state calls allocate nothing.
-//
-// A node's layer is final once all its unexecuted predecessors have been
-// relaxed (indegree tracks exactly that count); nodes are released into a
-// min-ID heap at that moment. Because predecessors always carry smaller IDs,
-// release order never overtakes ID order, so popping the heap yields the
-// same ascending-ID visit sequence the naive full scan produced. A node kept
-// back by an out-of-window predecessor is itself beyond the window (its
-// layer exceeds the predecessor's) and is correctly never released.
+// Every call computes the window afresh (it is never served from the
+// QubitWindow cache) and then sorts its members into ID order. All scratch
+// lives on the Graph, so steady-state calls allocate nothing. visit must
+// not query the window of g.
 //
 //mussti:hotpath
 func (g *Graph) WalkAhead(k int, visit func(layer int, n *Node)) {
 	if k <= 0 || g.nLeft == 0 {
 		return
 	}
-	g.waGen++
-	if g.waGen == 0 { // epoch counter wrapped: invalidate all stale marks
-		for i := range g.waMark {
-			g.waMark[i] = 0
-		}
-		g.waGen = 1
+	g.fillWindow(k)
+	slices.Sort(g.waQueue)
+	for _, id := range g.waQueue {
+		visit(int(g.waDepth[id]), &g.Nodes[id])
 	}
-	heap := g.waHeap[:0]
-	for _, id := range g.frontier {
-		g.waMark[id] = g.waGen
-		g.waDepth[id] = 0
-		heap = waHeapPush(heap, int32(id))
-	}
-	for len(heap) > 0 {
-		var id int32
-		id, heap = waHeapPop(heap)
-		d := g.waDepth[id]
-		if int(d) >= k {
-			// Beyond the window: successors are deeper still, so the whole
-			// subtree is pruned by simply not expanding it.
-			continue
-		}
-		visit(int(d), &g.Nodes[id])
-		for _, s := range g.Nodes[id].Succ {
-			if g.waMark[s] != g.waGen {
-				g.waMark[s] = g.waGen
-				g.waDepth[s] = d + 1
-				g.waSeen[s] = 1
-			} else {
-				if d+1 > g.waDepth[s] {
-					g.waDepth[s] = d + 1
-				}
-				g.waSeen[s]++
-			}
-			if int(g.waSeen[s]) == g.indegree[s] {
-				heap = waHeapPush(heap, int32(s))
-			}
-		}
-	}
-	g.waHeap = heap[:0] // keep capacity for the next call
-}
-
-// waHeapPush adds id to the binary min-heap h.
-//
-//mussti:hotpath
-//mussti:inline
-func waHeapPush(h []int32, id int32) []int32 {
-	h = append(h, id)
-	i := len(h) - 1
-	for i > 0 {
-		parent := (i - 1) / 2
-		if h[parent] <= h[i] {
-			break
-		}
-		h[parent], h[i] = h[i], h[parent]
-		i = parent
-	}
-	return h
-}
-
-// waHeapPop removes and returns the minimum of h.
-//
-//mussti:hotpath
-func waHeapPop(h []int32) (int32, []int32) {
-	min := h[0]
-	last := len(h) - 1
-	h[0] = h[last]
-	h = h[:last]
-	i := 0
-	for {
-		l, r := 2*i+1, 2*i+2
-		small := i
-		if l < len(h) && h[l] < h[small] {
-			small = l
-		}
-		if r < len(h) && h[r] < h[small] {
-			small = r
-		}
-		if small == i {
-			break
-		}
-		h[i], h[small] = h[small], h[i]
-		i = small
-	}
-	return min, h
 }
 
 // CriticalPathLen returns the number of layers (two-qubit depth).

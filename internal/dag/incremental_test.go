@@ -158,3 +158,154 @@ func TestIncrementalSurvivesReset(t *testing.T) {
 		t.Errorf("watermark after reset = %d, want 0", g.FirstUnexecuted())
 	}
 }
+
+// naiveQubitWindow is the reference for QubitWindow: the visits of a
+// naiveWalkAhead, filtered to the nodes that touch any of qs.
+func naiveQubitWindow(g *Graph, walk []visitRec, qs ...int) []visitRec {
+	var out []visitRec
+	for _, v := range walk {
+		for _, q := range qs {
+			if g.Nodes[v.id].Gate.Touches(q) {
+				out = append(out, v)
+				break
+			}
+		}
+	}
+	return out
+}
+
+// qubitWindowRecs reads QubitWindow(q, k) with each member's WindowLayer.
+func qubitWindowRecs(g *Graph, q, k int) []visitRec {
+	var out []visitRec
+	for _, id := range g.QubitWindow(q, k) {
+		out = append(out, visitRec{g.WindowLayer(id), id})
+	}
+	return out
+}
+
+// pairWindowRecs merges the windows of a and b in ascending ID order,
+// visiting a gate on both once — the pair query the §3.2 routing look-ahead
+// makes.
+func pairWindowRecs(g *Graph, a, b, k int) []visitRec {
+	wa, wb := qubitWindowRecs(g, a, k), qubitWindowRecs(g, b, k)
+	var out []visitRec
+	for len(wa) > 0 || len(wb) > 0 {
+		switch {
+		case len(wb) == 0 || len(wa) > 0 && wa[0].id < wb[0].id:
+			out, wa = append(out, wa[0]), wa[1:]
+		case len(wa) == 0 || wb[0].id < wa[0].id:
+			out, wb = append(out, wb[0]), wb[1:]
+		default:
+			out, wa, wb = append(out, wa[0]), wa[1:], wb[1:]
+		}
+	}
+	return out
+}
+
+func equalRecs(a, b []visitRec) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if a[i] != b[i] {
+			return false
+		}
+	}
+	return true
+}
+
+// checkQubitWindows compares every qubit's window and every adjacent pair's
+// merged window, for each k in ks, against the naive reference. Each k is
+// queried twice in a row, so the second pass is served from the cached fill.
+func checkQubitWindows(t *testing.T, g *Graph, ks []int) bool {
+	t.Helper()
+	nq := len(g.ByQubit)
+	for _, k := range ks {
+		walk := collectWalk(func(k int, v func(int, *Node)) { naiveWalkAhead(g, k, v) }, k)
+		for pass := 0; pass < 2; pass++ {
+			for q := 0; q < nq; q++ {
+				if got, want := qubitWindowRecs(g, q, k), naiveQubitWindow(g, walk, q); !equalRecs(got, want) {
+					t.Logf("k=%d q=%d pass %d: window %v, want %v", k, q, pass, got, want)
+					return false
+				}
+				b := (q + 1) % nq
+				if got, want := pairWindowRecs(g, q, b, k), naiveQubitWindow(g, walk, q, b); !equalRecs(got, want) {
+					t.Logf("k=%d pair (%d,%d) pass %d: window %v, want %v", k, q, b, pass, got, want)
+					return false
+				}
+			}
+		}
+	}
+	return true
+}
+
+// windowKs runs k = 1..12 after a query at k = 12, the k the previous
+// check ended on: the first query after an Execute then hits a window that
+// was valid for the same k before it, which is the invalidation case.
+var windowKs = []int{12, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12}
+
+// TestPropertyQubitWindowMatchesNaive drains random circuits in random
+// executable order and checks, at every step, that the per-qubit window
+// query agrees with the naive whole-graph walk filtered to the qubit or the
+// pair: same nodes, same layers, same order.
+func TestPropertyQubitWindowMatchesNaive(t *testing.T) {
+	f := func(seed int64, pick uint8) bool {
+		g := Build(randomCircuit(seed, 8, 80))
+		rng := rand.New(rand.NewSource(int64(pick)))
+		for {
+			if !checkQubitWindows(t, g, windowKs) {
+				t.Logf("seed %d pick %d, %d nodes left", seed, pick, g.Remaining())
+				return false
+			}
+			if g.Done() {
+				return true
+			}
+			fr := g.Frontier()
+			g.Execute(fr[rng.Intn(len(fr))])
+		}
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
+		t.Error(err)
+	}
+}
+
+// TestQubitWindowAfterResetAndClone pins that Reset and Clone leave no
+// stale window behind: a window cached mid-drain must not answer for the
+// reset graph, and a clone answers for its own (unexecuted) state while the
+// original keeps answering for its own.
+func TestQubitWindowAfterResetAndClone(t *testing.T) {
+	for seed := int64(1); seed <= 20; seed++ {
+		g := Build(randomCircuit(seed, 8, 80))
+		rng := rand.New(rand.NewSource(seed))
+		for i := 0; i < 25 && !g.Done(); i++ {
+			fr := g.Frontier()
+			g.Execute(fr[rng.Intn(len(fr))])
+		}
+		if !checkQubitWindows(t, g, windowKs) {
+			t.Fatalf("seed %d: mid-drain windows disagree", seed)
+		}
+		c := g.Clone()
+		if !checkQubitWindows(t, c, windowKs) {
+			t.Fatalf("seed %d: clone windows disagree", seed)
+		}
+		for i := 0; i < 10 && !c.Done(); i++ {
+			fr := c.Frontier()
+			c.Execute(fr[rng.Intn(len(fr))])
+			if !checkQubitWindows(t, c, windowKs) || !checkQubitWindows(t, g, windowKs) {
+				t.Fatalf("seed %d: windows disagree while the clone drains", seed)
+			}
+		}
+		g.Reset()
+		if !checkQubitWindows(t, g, windowKs) {
+			t.Fatalf("seed %d: windows disagree after Reset", seed)
+		}
+	}
+}
+
+// TestQubitWindowZeroWindow pins that k <= 0 is an empty window.
+func TestQubitWindowZeroWindow(t *testing.T) {
+	g := Build(chainCircuit(4))
+	if w := g.QubitWindow(0, 0); len(w) != 0 {
+		t.Errorf("k=0 window = %v, want empty", w)
+	}
+}
