@@ -53,15 +53,17 @@ func Families() []string {
 }
 
 // parseName resolves a "Family_nNN" identifier to its generator and qubit
-// count.
+// count. The count must be spelled canonically (no sign, no leading zeros),
+// so each size has one name and ByName's cache one entry per size.
 func parseName(name string) (Generator, int, error) {
 	i := strings.LastIndex(name, "_n")
 	if i < 0 {
 		return nil, 0, fmt.Errorf("bench: malformed name %q (want Family_nNN)", name)
 	}
 	base := strings.ToLower(name[:i])
-	n, err := strconv.Atoi(name[i+2:])
-	if err != nil || n <= 0 {
+	digits := name[i+2:]
+	n, err := strconv.Atoi(digits)
+	if err != nil || n <= 0 || digits != strconv.Itoa(n) {
 		return nil, 0, fmt.Errorf("bench: malformed qubit count in %q", name)
 	}
 	gen, ok := generators[base]

@@ -47,7 +47,8 @@ func itoa(n int) string {
 }
 
 func TestByNameErrors(t *testing.T) {
-	for _, bad := range []string{"GHZ", "GHZ_n", "GHZ_nXY", "Frob_n32", "GHZ_n0", "_n32"} {
+	for _, bad := range []string{"GHZ", "GHZ_n", "GHZ_nXY", "Frob_n32", "GHZ_n0", "_n32",
+		"QFT_n032", "QFT_n+32", "QFT_n0000000032", "QFT_n-32", "QFT_n 32"} {
 		if _, err := ByName(bad); err == nil {
 			t.Errorf("ByName(%q) accepted", bad)
 		}

@@ -56,12 +56,22 @@ func BenchmarkWalkAhead(b *testing.B) {
 	_ = sink
 }
 
-// BenchmarkWindowQuery measures the per-qubit look-ahead query (k=8) the
-// schedulers make, over the second half of a drain (BenchmarkWalkAhead's
-// starting point). One op is one Execute, which invalidates the window, then
-// one query on each qubit: a window fill plus 64 chain walks. When the graph
-// drains, it is reset and run back to the halfway point off the clock.
-func BenchmarkWindowQuery(b *testing.B) {
+// BenchmarkWindowQuery measures the per-qubit look-ahead query (k=8) over
+// the second half of a drain (BenchmarkWalkAhead's starting point). One op
+// is one Execute, which starts a new layer-memo epoch, then one query on
+// each qubit: 64 chain walks sharing one memo. When the graph drains, it is
+// reset and run back to the halfway point off the clock.
+func BenchmarkWindowQuery(b *testing.B) { benchWindowQuery(b, false) }
+
+// BenchmarkWindowQueryPair is BenchmarkWindowQuery with the schedulers'
+// real query traffic: after each Execute, trySwapFor reads the windows of
+// the executed gate's two operands only.
+func BenchmarkWindowQueryPair(b *testing.B) { benchWindowQuery(b, true) }
+
+// benchWindowQuery runs the drain loop of the window-query benchmarks,
+// querying the executed gate's operands (pair) or every qubit after each
+// Execute.
+func benchWindowQuery(b *testing.B, pair bool) {
 	g := benchGraph(3)
 	half := func() {
 		g.Reset()
@@ -79,7 +89,13 @@ func BenchmarkWindowQuery(b *testing.B) {
 			half()
 			b.StartTimer()
 		}
-		g.Execute(g.Frontier()[0])
+		id := g.Frontier()[0]
+		g.Execute(id)
+		if pair {
+			qs := g.Nodes[id].Gate.Qubits
+			sink += len(g.QubitWindow(qs[0], 8)) + len(g.QubitWindow(qs[1], 8))
+			continue
+		}
 		for q := range g.ByQubit {
 			sink += len(g.QubitWindow(q, 8))
 		}

@@ -40,8 +40,7 @@ type Graph struct {
 	ByQubit [][]int
 
 	// indegree[id] counts the *unexecuted* predecessors of id; it reaches 0
-	// exactly when id joins the frontier. The window fill reads it as the
-	// number of in-window relaxations a node needs before its layer is final.
+	// exactly when id joins the frontier, whose nodes are remaining layer 0.
 	indegree []int
 	executed []bool
 	// frontier holds the currently executable node IDs in ascending order.
@@ -63,21 +62,20 @@ type Graph struct {
 	// Execute advances it; QubitWindow reads from it.
 	cursor []int32
 
-	// Look-ahead window scratch, reused across calls so the steady state
+	// Look-ahead layer memo, reused across calls so the steady state
 	// allocates nothing. waMark is an epoch stamp: entries of waDepth/waSeen
-	// are valid only where waMark equals the current generation, which makes
-	// clearing between fills O(touched) instead of O(nodes). A fill leaves
-	// waSeen at windowMember on exactly the nodes of the window, waDepth at
-	// their remaining layers and waQueue holding them in release order.
-	// winK is the k of the window the scratch holds, or 0 once Execute or
-	// Reset has changed the graph since that fill: QubitWindow refills only
-	// then, so every query between two Executes shares one fill.
+	// are valid only where waMark equals the current generation waGen, which
+	// makes clearing between graph states O(1) instead of O(nodes). Execute
+	// and Reset start a new epoch, since both move layers. Within an epoch,
+	// waSeen says what waDepth holds for a node layerWithin has touched: its
+	// exact remaining layer (layerExact) or only a lower bound on it
+	// (layerBound). Layers do not depend on k, so one epoch's memo serves
+	// queries at every k. waQueue is WalkAhead's BFS queue.
 	waDepth []int32
 	waSeen  []int32
 	waMark  []uint32
 	waGen   uint32
 	waQueue []int32
-	winK    int
 }
 
 // Build constructs the graph from a circuit. Only two-qubit gates become
@@ -150,7 +148,7 @@ func (g *Graph) reset() {
 		g.cursor = make([]int32, len(g.ByQubit))
 	}
 	clear(g.cursor)
-	g.winK = 0
+	g.newEpoch()
 	g.frontier = g.frontier[:0]
 	g.nLeft = len(g.Nodes)
 	g.watermark = 0
@@ -169,7 +167,7 @@ func (g *Graph) reset() {
 // a single Graph across the SABRE forward probe and every candidate
 // production pass (core's per-circuit prep), so Reset runs on the compile
 // hot path — it must restore every piece of execution state (indegree,
-// executed flags, frontier, watermark, chain cursors, window validity) and
+// executed flags, frontier, watermark, chain cursors, layer-memo epoch) and
 // nothing else.
 func (g *Graph) Reset() { g.reset() }
 
@@ -237,7 +235,7 @@ func (g *Graph) Execute(id int) {
 	g.frontier = append(g.frontier[:pos], g.frontier[pos+1:]...)
 	g.executed[id] = true
 	g.nLeft--
-	g.winK = 0
+	g.newEpoch()
 	// Gate.Operands would allocate; the two fixed slots name the same
 	// qubits, and a chain holding id twice is advanced twice.
 	g.cursor[g.Nodes[id].Gate.Qubits[0]]++
@@ -316,64 +314,78 @@ func (g *Graph) Layers() [][]int {
 	return layers
 }
 
-// windowMember is the waSeen value of a node the current fill placed in the
-// window. Ordinary waSeen values count relaxations and are never negative.
-const windowMember = -1
+// waSeen values of a memoized node: waDepth holds its exact remaining layer,
+// or only a lower bound on it.
+const (
+	layerBound int32 = iota
+	layerExact
+)
 
-// fillWindow computes the first k >= 1 layers of the remaining graph (layer
-// = longest unexecuted-predecessor path) into the window scratch.
-//
-// The fill is O(window): it expands the dependency graph outwards from the
-// current frontier (every unexecuted node is reachable from it through
-// unexecuted predecessors) and stops expanding at layer k, so nodes beyond
-// the window are never touched. A node's layer is final once all its
-// unexecuted predecessors have been relaxed (indegree tracks exactly that
-// count); nodes are released into a FIFO at that moment, and only window
-// members are released. Membership and layers do not depend on release
-// order. A node kept back by an out-of-window predecessor is itself beyond
-// the window (its layer exceeds the predecessor's) and is never released.
+// newEpoch invalidates the whole layer memo in O(1).
 //
 //mussti:hotpath
-func (g *Graph) fillWindow(k int) {
+//mussti:inline
+func (g *Graph) newEpoch() {
 	g.waGen++
 	if g.waGen == 0 { // epoch counter wrapped: invalidate all stale marks
 		clear(g.waMark)
 		g.waGen = 1
 	}
-	queue := g.waQueue[:0]
-	for _, id := range g.frontier {
-		g.waMark[id] = g.waGen
-		g.waDepth[id] = 0
-		g.waSeen[id] = windowMember
-		queue = append(queue, int32(id))
-	}
-	for head := 0; head < len(queue); head++ {
-		id := queue[head]
-		d := g.waDepth[id] + 1
-		if int(d) >= k {
-			// Successors lie beyond the window, so the whole subtree is
-			// pruned by simply not expanding it.
-			continue
+}
+
+// layerWithin returns the remaining layer of the unexecuted node id (the
+// longest path to it through unexecuted predecessors) when that layer is at
+// most lim, and lim+1 otherwise.
+//
+// It is a bounded, memoized ancestor walk: a frontier node is layer 0, and
+// any other node recurses into its unexecuted predecessors with lim-1,
+// stopping as soon as one of them lies beyond that. So a query touches only
+// ancestors within lim layers of id, and each of them once per epoch unless
+// a larger lim asks past a lower bound an earlier, smaller one left behind.
+//
+//mussti:hotpath
+func (g *Graph) layerWithin(id int, lim int32) int32 {
+	if g.waMark[id] == g.waGen {
+		d := g.waDepth[id]
+		if g.waSeen[id] == layerExact {
+			return min(d, lim+1)
 		}
-		for _, s := range g.Nodes[id].Succ {
-			if g.waMark[s] != g.waGen {
-				g.waMark[s] = g.waGen
-				g.waDepth[s] = d
-				g.waSeen[s] = 1
-			} else {
-				if d > g.waDepth[s] {
-					g.waDepth[s] = d
-				}
-				g.waSeen[s]++
-			}
-			if int(g.waSeen[s]) == g.indegree[s] {
-				g.waSeen[s] = windowMember
-				queue = append(queue, int32(s))
-			}
+		if d > lim {
+			return lim + 1
 		}
 	}
-	g.waQueue = queue
-	g.winK = k
+	g.waMark[id] = g.waGen
+	if g.indegree[id] == 0 {
+		g.waDepth[id], g.waSeen[id] = 0, layerExact
+		return 0
+	}
+	d := int32(1)
+	if lim > 0 {
+		for _, p := range g.Nodes[id].Pred {
+			if g.executed[p] {
+				continue // would answer 0, which never lifts d above 1
+			}
+			if r := g.layerWithin(p, lim-1); r >= lim {
+				d = lim + 1
+				break
+			} else if r+1 > d {
+				d = r + 1
+			}
+		}
+	}
+	if d > lim {
+		g.waDepth[id], g.waSeen[id] = lim+1, layerBound
+		return lim + 1
+	}
+	g.waDepth[id], g.waSeen[id] = d, layerExact
+	return d
+}
+
+// windowLim is the largest layer inside a k-layer window, capped at the
+// deepest layer the remaining graph can hold so that it fits layerWithin's
+// int32 arithmetic for any k.
+func (g *Graph) windowLim(k int) int32 {
+	return int32(min(k, g.nLeft) - 1)
 }
 
 // QubitWindow returns the unexecuted gates on qubit q within the first k
@@ -381,32 +393,31 @@ func (g *Graph) fillWindow(k int) {
 // WalkAhead(k, ...) would visit that touch q. This is the per-qubit query
 // behind the look-ahead scoring of §3.2 routing and §3.3 SWAP insertion.
 //
-// The window is filled at most once per graph state and k: later queries
-// between two Executes reuse it. Consecutive gates on a qubit are DAG
-// edges, so layers rise strictly along q's remaining ByQubit chain and the
-// answer is a prefix of that chain: the walk stops at the first gate
-// outside the window. The result aliases ByQubit and must not be modified;
-// it stays valid across Execute. WindowLayer reads the layers of its
-// members until the next Execute, Reset or fill for another k.
+// Consecutive gates on a qubit are DAG edges, so layers rise strictly along
+// q's remaining ByQubit chain and the answer is a prefix of that chain: the
+// walk asks layerWithin for each gate in turn and stops at the first one
+// outside the window. Layers are memoized per graph state, so queries
+// between two Executes share the ancestor walks, at any k. The result
+// aliases ByQubit and must not be modified; it stays valid across Execute.
+// WindowLayer reads the layers of its members until the next Execute,
+// Reset or WalkAhead.
 //
 //mussti:hotpath
 func (g *Graph) QubitWindow(q, k int) []int {
 	if k <= 0 {
 		return nil
 	}
-	if g.winK != k {
-		g.fillWindow(k)
-	}
+	lim := g.windowLim(k)
 	chain := g.ByQubit[q][g.cursor[q]:]
 	n := 0
-	for n < len(chain) && g.waMark[chain[n]] == g.waGen && g.waSeen[chain[n]] == windowMember {
+	for n < len(chain) && g.layerWithin(chain[n], lim) <= lim {
 		n++
 	}
 	return chain[:n:n]
 }
 
-// WindowLayer returns the remaining-graph layer of id, a member of the
-// window the last QubitWindow call answered from.
+// WindowLayer returns the remaining-graph layer of id, a member of a
+// window QubitWindow returned since the last Execute, Reset or WalkAhead.
 //
 //mussti:hotpath
 //mussti:inline
@@ -418,21 +429,54 @@ func (g *Graph) WindowLayer(id int) int { return int(g.waDepth[id]) }
 // the whole "first k layers of the DAG" window of §3.3; the schedulers ask
 // the per-qubit QubitWindow instead.
 //
-// Every call computes the window afresh (it is never served from the
-// QubitWindow cache) and then sorts its members into ID order. All scratch
-// lives on the Graph, so steady-state calls allocate nothing. visit must
-// not query the window of g.
+// The walk is a BFS from the frontier over layerWithin: every window member
+// is reachable from the frontier through members, since a member's
+// unexecuted predecessors lie in lower layers. A successor is enqueued from
+// its last unexecuted predecessor only, so once, and only when it is a
+// member; the members are then sorted into ID order. Every call starts a
+// new epoch, so it is never served from the memo QubitWindow left behind.
+// All scratch lives on the Graph, so steady-state calls allocate nothing.
+// visit must not query the window of g.
 //
 //mussti:hotpath
 func (g *Graph) WalkAhead(k int, visit func(layer int, n *Node)) {
 	if k <= 0 || g.nLeft == 0 {
 		return
 	}
-	g.fillWindow(k)
-	slices.Sort(g.waQueue)
-	for _, id := range g.waQueue {
+	g.newEpoch()
+	lim := g.windowLim(k)
+	queue := g.waQueue[:0]
+	for _, id := range g.frontier {
+		g.layerWithin(id, lim) // memoizes layer 0 for visit
+		queue = append(queue, int32(id))
+	}
+	for head := 0; head < len(queue); head++ {
+		id := int(queue[head])
+		for _, s := range g.Nodes[id].Succ {
+			if g.lastLivePred(s) == id && g.layerWithin(s, lim) <= lim {
+				queue = append(queue, int32(s))
+			}
+		}
+	}
+	g.waQueue = queue
+	slices.Sort(queue)
+	for _, id := range queue {
 		visit(int(g.waDepth[id]), &g.Nodes[id])
 	}
+}
+
+// lastLivePred returns the last unexecuted entry of id's Pred list, or -1.
+//
+//mussti:hotpath
+//mussti:inline
+func (g *Graph) lastLivePred(id int) int {
+	pred := g.Nodes[id].Pred
+	for i := len(pred) - 1; i >= 0; i-- {
+		if !g.executed[pred[i]] {
+			return pred[i]
+		}
+	}
+	return -1
 }
 
 // CriticalPathLen returns the number of layers (two-qubit depth).

@@ -5,6 +5,8 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+
+	"mussti/internal/circuit"
 )
 
 // naiveFrontier recomputes the executable set from scratch: unexecuted
@@ -216,7 +218,7 @@ func equalRecs(a, b []visitRec) bool {
 
 // checkQubitWindows compares every qubit's window and every adjacent pair's
 // merged window, for each k in ks, against the naive reference. Each k is
-// queried twice in a row, so the second pass is served from the cached fill.
+// queried twice in a row, so the second pass is served from the layer memo.
 func checkQubitWindows(t *testing.T, g *Graph, ks []int) bool {
 	t.Helper()
 	nq := len(g.ByQubit)
@@ -240,8 +242,9 @@ func checkQubitWindows(t *testing.T, g *Graph, ks []int) bool {
 }
 
 // windowKs runs k = 1..12 after a query at k = 12, the k the previous
-// check ended on: the first query after an Execute then hits a window that
-// was valid for the same k before it, which is the invalidation case.
+// check ended on: the first query after an Execute then meets a memo that
+// was valid for the same k before it, which is the invalidation case. The
+// rising ks that follow ask past the lower bounds the smaller ones leave.
 var windowKs = []int{12, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12}
 
 // TestPropertyQubitWindowMatchesNaive drains random circuits in random
@@ -270,7 +273,7 @@ func TestPropertyQubitWindowMatchesNaive(t *testing.T) {
 }
 
 // TestQubitWindowAfterResetAndClone pins that Reset and Clone leave no
-// stale window behind: a window cached mid-drain must not answer for the
+// stale window behind: layers memoized mid-drain must not answer for the
 // reset graph, and a clone answers for its own (unexecuted) state while the
 // original keeps answering for its own.
 func TestQubitWindowAfterResetAndClone(t *testing.T) {
@@ -308,4 +311,153 @@ func TestQubitWindowZeroWindow(t *testing.T) {
 	if w := g.QubitWindow(0, 0); len(w) != 0 {
 		t.Errorf("k=0 window = %v, want empty", w)
 	}
+}
+
+// checkWalkAhead compares WalkAhead(k) with the naive reference.
+func checkWalkAhead(t *testing.T, g *Graph, k int) bool {
+	t.Helper()
+	got := collectWalk(g.WalkAhead, k)
+	want := collectWalk(func(k int, v func(int, *Node)) { naiveWalkAhead(g, k, v) }, k)
+	if !equalRecs(got, want) {
+		t.Logf("WalkAhead(%d) = %v, want %v", k, got, want)
+		return false
+	}
+	return true
+}
+
+// TestWalkAheadInterleavedWithQubitWindow drains random circuits and, at
+// every step, runs WalkAhead and the per-qubit queries on the same state in
+// both orders, at different ks. WalkAhead must not be served from the
+// memo the queries left, and must leave none that misleads them.
+func TestWalkAheadInterleavedWithQubitWindow(t *testing.T) {
+	for seed := int64(1); seed <= 20; seed++ {
+		g := Build(randomCircuit(seed, 8, 80))
+		rng := rand.New(rand.NewSource(seed))
+		for step := 0; ; step++ {
+			walkK, winK := 1+rng.Intn(10), 1+rng.Intn(10)
+			var ok bool
+			if step%2 == 0 {
+				ok = checkWalkAhead(t, g, walkK) && checkQubitWindows(t, g, []int{winK}) && checkWalkAhead(t, g, winK)
+			} else {
+				ok = checkQubitWindows(t, g, []int{winK}) && checkWalkAhead(t, g, walkK) && checkQubitWindows(t, g, []int{walkK})
+			}
+			if !ok {
+				t.Fatalf("seed %d step %d (walk k=%d, window k=%d): disagree", seed, step, walkK, winK)
+			}
+			if g.Done() {
+				break
+			}
+			fr := g.Frontier()
+			g.Execute(fr[rng.Intn(len(fr))])
+		}
+	}
+}
+
+// TestQubitWindowEpochWrap drains a graph across the wrap of the memo's
+// epoch counter. The first query stamps every node with the first epoch,
+// which the counter meets again after it wraps; the graph changes in
+// between, so a stamp left from before the wrap must not pass for a
+// current one.
+func TestQubitWindowEpochWrap(t *testing.T) {
+	g := Build(randomCircuit(7, 8, 80))
+	if !checkQubitWindows(t, g, []int{math.MaxInt}) {
+		t.Fatal("windows disagree before the wrap")
+	}
+	first := g.waGen
+	g.waGen = math.MaxUint32 - 3
+	rng := rand.New(rand.NewSource(7))
+	for !g.Done() {
+		fr := g.Frontier()
+		g.Execute(fr[rng.Intn(len(fr))])
+		if g.waGen > math.MaxUint32-3 {
+			continue // not wrapped yet: leave the first epoch's stamps alone
+		}
+		if !checkQubitWindows(t, g, windowKs) || !checkWalkAhead(t, g, 4) {
+			t.Fatalf("windows disagree at epoch %d, %d nodes left", g.waGen, g.Remaining())
+		}
+	}
+	if g.waGen < first || g.waGen > math.MaxUint32-3 {
+		t.Fatalf("epoch %d after the drain: the counter never wrapped back past %d", g.waGen, first)
+	}
+}
+
+// TestQubitWindowDeepDAG queries DAGs far deeper than any look-ahead window
+// with k far beyond their depth, up to math.MaxInt: a long chain on two
+// qubits, then one gate touching a third, and a brick ladder whose number
+// of paths to a node grows like the Fibonacci numbers, so an unmemoized
+// walk could not finish. Each query must match the naive reference.
+func TestQubitWindowDeepDAG(t *testing.T) {
+	const depth = 3000
+	chain := circuit.New("deep-chain", 3)
+	for i := 0; i < depth; i++ {
+		chain.MS(0, 1)
+	}
+	chain.MS(1, 2)
+	ladder := circuit.New("ladder", 3)
+	for i := 0; i < depth; i++ {
+		ladder.MS(i%2, i%2+1)
+	}
+	ks := []int{depth / 2, depth + 5, math.MaxInt32, math.MaxInt}
+	// WalkAhead's k stays small on the ladder: there, a walk that enqueued
+	// a node once per predecessor would grow its queue like the Fibonacci
+	// numbers, and a small k makes that fail fast instead of filling memory.
+	for _, tc := range []struct {
+		c     *circuit.Circuit
+		walkK int
+	}{{chain, math.MaxInt}, {ladder, 16}} {
+		g := Build(tc.c)
+		// Query the far end first, so its walk runs on a cold memo.
+		if got := g.QubitWindow(2, math.MaxInt); len(got) == 0 {
+			t.Fatalf("%s: qubit 2 window is empty at k = MaxInt", tc.c.Name)
+		}
+		for step := 0; step < 3; step++ {
+			if !checkQubitWindows(t, g, ks) || !checkWalkAhead(t, g, tc.walkK) {
+				t.Fatalf("%s step %d: windows disagree", tc.c.Name, step)
+			}
+			g.Execute(g.Frontier()[0])
+		}
+	}
+}
+
+// FuzzQubitWindow checks every qubit's window against the naive reference
+// on fuzzed input: gates gives a circuit on 2 + nq%7 qubits (one two-qubit
+// gate per byte pair, a partner equal to the first operand dropped), order
+// picks the frontier node each Execute runs, and ks gives the window sizes
+// queried at every step (byte 255 asks for k = math.MaxInt).
+func FuzzQubitWindow(f *testing.F) {
+	f.Add(uint8(6), []byte{0, 1, 1, 2, 2, 3, 0, 3, 1, 3}, []byte{0, 1, 2}, []byte{1, 2, 3})
+	f.Add(uint8(3), []byte{0, 1, 1, 2, 0, 1, 1, 2, 0, 2, 3, 4, 4, 0}, []byte{5, 3}, []byte{255, 1, 8})
+	f.Add(uint8(0), []byte{0, 1, 0, 1, 0, 1, 0, 1}, []byte{}, []byte{2, 4})
+	f.Fuzz(func(t *testing.T, nq uint8, gates, order, ks []byte) {
+		n := 2 + int(nq%7)
+		c := circuit.New("fuzz", n)
+		for i := 0; i+1 < len(gates) && i < 256; i += 2 {
+			if a, b := int(gates[i])%n, int(gates[i+1])%n; a != b {
+				c.MS(a, b)
+			}
+		}
+		var windows []int
+		for _, b := range ks[:min(len(ks), 4)] {
+			k := int(b % 16)
+			if b == 255 {
+				k = math.MaxInt
+			}
+			windows = append(windows, k)
+		}
+		g := Build(c)
+		for step := 0; ; step++ {
+			if !checkQubitWindows(t, g, windows) {
+				t.Fatalf("step %d: windows disagree", step)
+			}
+			if g.Done() {
+				return
+			}
+			fr := g.Frontier()
+			pick := 0
+			if len(order) > 0 {
+				pick = int(order[step%len(order)]) % len(fr)
+			}
+			g.Execute(fr[pick])
+		}
+	})
 }

@@ -429,6 +429,8 @@ var badRequests = []struct {
 	{"both sources", `{"app":"GHZ_n4","qasm":"OPENQASM 2.0;"}`},
 	{"unknown compiler", `{"app":"GHZ_n4","compiler":"nope"}`},
 	{"unknown app", `{"app":"NOPE_n4"}`},
+	{"app count with leading zero", `{"app":"QFT_n032"}`},
+	{"app count with sign", `{"app":"QFT_n+32"}`},
 	{"unknown field", `{"app":"GHZ_n4","bogus":1}`},
 	{"bad mapping", `{"app":"GHZ_n4","config":{"mapping":"psychic"}}`},
 	{"arch and grid", `{"app":"GHZ_n4","arch":{"modules":4},"grid":{"rows":2,"cols":2,"capacity":4}}`},
